@@ -14,7 +14,7 @@ from .spaces import (
     l2_project_scalar,
     rt_interpolate,
 )
-from .timebasis import TemporalBasis, TimePartition, build_basis, reconstruct
+from .timebasis import TemporalBasis, TimePartition, build_basis
 from .timeloop import ProblemData, SpaceTimeSolution, run
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "l2_project_scalar",
     "map_to_unit",
     "mms_standard",
-    "reconstruct",
     "rt_interpolate",
     "run",
     "tensor",

@@ -8,16 +8,22 @@ Three time-independent matrices drive the whole run:
 
 All integrals use tensor Gauss rules; on bilinear cell maps the integrands
 of M_W and M_D are rational, so the rule order is chosen one notch above
-polynomial exactness ((p+3) points per direction by default).  The det J
-factors cancel in B, which therefore only sees reference quantities and the
+polynomial exactness ((p+3) points per direction by default).  M_W, M_D and
+the load vectors come from one set of tables per space and rule
+(`evaluation`), built on first use and kept on the space.  The det J factors
+cancel in B, which therefore only sees reference quantities and the
 edge-orientation signs.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import InvalidCoefficientError, InvalidMeshError
+from .mesh import bilinear_map
 from .quadrature import tensor_unit
+from .spaces import FluxSpace
 
 
 class CoefficientField:
@@ -81,19 +87,7 @@ def cell_geometry(mesh, rule):
     (nc, nq, 2, 2) and determinants (nc, nq).  Raises if any determinant is
     not strictly positive.
     """
-    pts = rule.points
-    x, y = pts[:, 0], pts[:, 1]
-    c = mesh.cell_corner_array()  # (nc, 4, 2)
-    shp = np.column_stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y])
-    phys = np.einsum("qk,nkd->nqd", shp, c)
-    a = c[:, 1] - c[:, 0]
-    b = c[:, 3] - c[:, 0]
-    d = c[:, 0] - c[:, 1] + c[:, 2] - c[:, 3]
-    nc, nq = len(c), len(pts)
-    J = np.empty((nc, nq, 2, 2))
-    J[:, :, :, 0] = a[:, None, :] + y[None, :, None] * d[:, None, :]
-    J[:, :, :, 1] = b[:, None, :] + x[None, :, None] * d[:, None, :]
-    det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
+    phys, J, det = bilinear_map(mesh.cell_corner_array(), rule.points)
     if np.any(det <= 0.0):
         bad = int(np.argwhere(np.any(det <= 0.0, axis=1))[0][0])
         raise InvalidMeshError(bad, float(det[bad].min()))
@@ -120,6 +114,66 @@ def piola_values(space, rule, geometry=None):
     return vals, divs, geometry
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """Quadrature tables of one space under one tensor rule, over all cells.
+
+    Quadrature points are numbered cell by cell.  `values` maps global
+    coefficients to the function's values at the points; for fluxes these
+    are signed Piola values with the x and y rows of a point interleaved, and
+    `divs` maps them to the divergence (None for scalars).
+    """
+
+    points: np.ndarray     # (nc * nq, 2) physical points
+    weights: np.ndarray    # (nc * nq,) rule weight times det J
+    values: sp.csr_matrix  # (nc * nq, n_dofs) or (2 * nc * nq, n_dofs)
+    divs: sp.csr_matrix = None
+
+
+def _cell_operator(tables, cell_dofs, n_dofs):
+    """CSR operator from per-cell tables (nc, ..., n_local) on global dofs."""
+    nc, nl = cell_dofs.shape
+    data = tables.reshape(-1, nl)
+    indices = np.repeat(cell_dofs, len(data) // nc, axis=0)
+    indptr = np.arange(0, data.size + 1, nl)
+    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                         shape=(len(data), n_dofs))
+
+
+def evaluation(space, rule=None):
+    """The space's Evaluation tables for a tensor rule, built once per rule.
+
+    The default rule has p + 3 points per direction.
+    """
+    if rule is None:
+        rule = tensor_unit(space.p + 3)
+    key = (rule.points.tobytes(), rule.weights.tobytes())
+    if key in space.evaluations:
+        return space.evaluations[key]
+    geometry = cell_geometry(space.mesh, rule)
+    phys, _, det = geometry
+    dofs, n = space.cell_dofs, space.n_dofs
+    if isinstance(space, FluxSpace):
+        vals, divs, _ = piola_values(space, rule, geometry)
+        values = _cell_operator(vals.transpose(0, 1, 3, 2), dofs, n)
+        divs = _cell_operator(divs, dofs, n)
+    else:
+        phi = space.ref.tabulate(rule.points)
+        values = _cell_operator(np.broadcast_to(phi, det.shape + phi.shape[1:]),
+                                dofs, n)
+        divs = None
+    ev = Evaluation(points=phys.reshape(-1, 2),
+                    weights=(rule.weights[None, :] * det).ravel(),
+                    values=values, divs=divs)
+    space.evaluations[key] = ev
+    return ev
+
+
+def _galerkin(ev, weight):
+    """The matrix E^T K E of a space's values operator E and a point weight K."""
+    return (ev.values.T @ (weight @ ev.values)).tocsr()
+
+
 def _scatter(local, rows, cols, shape):
     """Accumulate per-cell local matrices (nc, ni, nj) into a global CSR."""
     nc, ni, nj = local.shape
@@ -133,28 +187,18 @@ def _scatter(local, rows, cols, shape):
 
 def assemble_mass_scalar(space, rule=None):
     """Scalar mass matrix <w_j, w_i>; block diagonal over cells."""
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
-    phi = space.ref.tabulate(rule.points)
-    _, _, det = cell_geometry(space.mesh, rule)
-    wdet = rule.weights[None, :] * det
-    local = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
-    n = space.n_dofs
-    return _scatter(local, space.cell_dofs, space.cell_dofs, (n, n))
+    ev = evaluation(space, rule)
+    return _galerkin(ev, sp.diags(ev.weights))
 
 
 def assemble_weighted_mass_flux(space, coefficient, rule=None):
     """Weighted flux mass matrix <D^{-1} v_j, v_i>."""
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
-    vals, _, geometry = piola_values(space, rule)
-    phys, _, det = geometry
-    Dinv = coefficient.inverse_at(phys.reshape(-1, 2)).reshape(det.shape + (2, 2))
-    wdet = rule.weights[None, :] * det
-    dv = np.einsum("cqab,cqlb->cqla", Dinv, vals)
-    local = np.einsum("cq,cqja,cqia->cij", wdet, dv, vals)
-    n = space.n_dofs
-    return _scatter(local, space.cell_dofs, space.cell_dofs, (n, n))
+    ev = evaluation(space, rule)
+    npts = len(ev.weights)
+    blocks = ev.weights[:, None, None] * coefficient.inverse_at(ev.points)
+    weight = sp.bsr_matrix((blocks, np.arange(npts), np.arange(npts + 1)),
+                           shape=(2 * npts, 2 * npts))
+    return _galerkin(ev, weight)
 
 
 def assemble_div_coupling(flux_space, scalar_space, rule=None):
@@ -177,30 +221,14 @@ def assemble_div_coupling(flux_space, scalar_space, rule=None):
 
 def assemble_load(space, f, t, rule=None):
     """Scalar load vector <f(., t), w_i> at one time t."""
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
-    phi = space.ref.tabulate(rule.points)
-    phys, _, det = cell_geometry(space.mesh, rule)
-    fv = f(phys.reshape(-1, 2), t).reshape(det.shape)
-    wdet = rule.weights[None, :] * det
-    local = np.einsum("cq,qi->ci", wdet * fv, phi)
-    out = np.zeros(space.n_dofs)
-    np.add.at(out, space.cell_dofs, local)
-    return out
+    ev = evaluation(space, rule)
+    return ev.values.T @ (ev.weights * f(ev.points, t))
 
 
 def assemble_flux_moments(space, g, rule=None):
     """Vector of <g, v_i> for a vector-valued g; RHS of an L2 flux projection."""
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
-    vals, _, geometry = piola_values(space, rule)
-    phys, _, det = geometry
-    gv = g(phys.reshape(-1, 2)).reshape(phys.shape)
-    wdet = rule.weights[None, :] * det
-    local = np.einsum("cq,cqla,cqa->cl", wdet, vals, gv)
-    out = np.zeros(space.n_dofs)
-    np.add.at(out, space.cell_dofs, local)
-    return out
+    ev = evaluation(space, rule)
+    return ev.values.T @ (ev.weights[:, None] * g(ev.points)).ravel()
 
 
 def dump_coo(matrix, path):

@@ -39,25 +39,6 @@ class LagrangeBasis1D:
             out[hit] = on_node[hit].astype(float)
         return out
 
-    def eval_deriv(self, x):
-        """First derivatives of all cardinal functions at x, shape (npts, n)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((len(x), self.n))
-        D = self.diff_matrix()
-        for i, xi in enumerate(x):
-            d = xi - self.nodes
-            k = np.argmin(np.abs(d))
-            if abs(d[k]) < 1e-14:
-                out[i] = D[k]
-                continue
-            a = self.bary / d
-            s = a.sum()
-            ap = -self.bary / d**2
-            sp = ap.sum()
-            # phi_j = a_j / s  ->  phi_j' = (a_j' s - a_j s') / s^2
-            out[i] = (ap * s - a * sp) / s**2
-        return out
-
     def diff_matrix(self):
         """Differentiation matrix D[i, j] = phi_j'(x_i), exact to rounding."""
         x = self.nodes

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import mesh as meshmod
+from . import spaces, timebasis
 from .assembly import CoefficientField
 from .mms import ErrorReport, error_q_V, error_u, mms_standard
 from .spaces import build_pair
@@ -38,8 +39,17 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.level_min < 0 or self.level_max < self.level_min:
-            raise ValueError("need 0 <= level_min <= level_max")
+        if not 0 <= self.level_min <= self.level_max <= meshmod.MAX_LEVEL:
+            raise ValueError(
+                f"need 0 <= level_min <= level_max <= {meshmod.MAX_LEVEL}")
+        if not 0 <= self.p <= spaces.MAX_DEGREE:
+            raise ValueError(f"p must be in 0..{spaces.MAX_DEGREE}, got {self.p}")
+        if not 1 <= self.r <= timebasis.MAX_DEGREE:
+            raise ValueError(f"r must be in 1..{timebasis.MAX_DEGREE}, got {self.r}")
+        if self.n_steps_base < 1:
+            raise ValueError("n_steps_base must be at least 1")
+        if not self.final_time > 0.0:
+            raise ValueError("final_time must be positive")
         if self.solver not in ("direct", "schur"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if not 0.0 <= self.distortion < 0.5:
@@ -100,6 +110,9 @@ def run_convergence(config, progress=None):
                        solver=config.solver)
         eu = error_u(solution, exact)
         eq = error_q_V(solution, exact)
+        # the solution's spaces hold their quadrature tables; free them
+        # before the next, larger level is solved
+        del solution
         levels.append(level)
         steps.append(n)
         taus.append(config.final_time / n)

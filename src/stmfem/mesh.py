@@ -23,6 +23,28 @@ MAX_LEVEL = 8
 _REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def bilinear_map(corners, xhat):
+    """Bilinear maps of many cells at the same reference points.
+
+    corners (nc, 4, 2) are counterclockwise cell corners, xhat (nq, 2)
+    reference points.  Returns (phys, J, det): physical points (nc, nq, 2),
+    Jacobians (nc, nq, 2, 2) and determinants (nc, nq).
+    """
+    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
+    x, y = xhat[:, 0], xhat[:, 1]
+    c = corners
+    shp = np.column_stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y])
+    phys = np.einsum("qk,nkd->nqd", shp, c)
+    a = c[:, 1] - c[:, 0]
+    b = c[:, 3] - c[:, 0]
+    d = c[:, 0] - c[:, 1] + c[:, 2] - c[:, 3]
+    J = np.empty((len(c), len(xhat), 2, 2))
+    J[:, :, :, 0] = a[:, None, :] + y[None, :, None] * d[:, None, :]
+    J[:, :, :, 1] = b[:, None, :] + x[None, :, None] * d[:, None, :]
+    det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
+    return phys, J, det
+
+
 @dataclass(frozen=True)
 class CellMap:
     """Bilinear map from the reference square [0, 1]^2 onto one cell."""
@@ -32,28 +54,15 @@ class CellMap:
 
     def map(self, xhat):
         """Physical coordinates of reference points xhat, shape (npts, 2)."""
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        x, y = xhat[:, 0], xhat[:, 1]
-        c = self.corners
-        shp = np.column_stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y])
-        return shp @ c
+        return bilinear_map(self.corners[None], xhat)[0][0]
 
     def jacobian(self, xhat):
         """Jacobian matrices and determinants at reference points.
 
         Returns (J, det) with J of shape (npts, 2, 2) and det of shape (npts,).
         """
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        x, y = xhat[:, 0], xhat[:, 1]
-        c = self.corners
-        a = c[1] - c[0]
-        b = c[3] - c[0]
-        d = c[0] - c[1] + c[2] - c[3]
-        J = np.empty((len(xhat), 2, 2))
-        J[:, :, 0] = a[None, :] + y[:, None] * d[None, :]
-        J[:, :, 1] = b[None, :] + x[:, None] * d[None, :]
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        return J, det
+        _, J, det = bilinear_map(self.corners[None], xhat)
+        return J[0], det[0]
 
     def inverse(self, x, tol=1e-13):
         """Reference coordinates of physical points x by Newton iteration."""
@@ -263,15 +272,11 @@ def validity_check(mesh, rule=None):
     if rule is None:
         rule = tensor_unit(3)
     pts = np.vstack([_REF_CORNERS, rule.points])
-    min_det = np.inf
-    bad = []
-    for k in range(mesh.n_cells):
-        _, det = mesh.cell_map(k).jacobian(pts)
-        m = float(det.min())
-        if m <= 0.0:
-            bad.append(k)
-        min_det = min(min_det, m)
-    return ValidityReport(ok=not bad, min_det=min_det, bad_cells=tuple(bad))
+    _, _, det = bilinear_map(mesh.cell_corner_array(), pts)
+    cell_min = det.min(axis=1)
+    bad = tuple(int(k) for k in np.flatnonzero(cell_min <= 0.0))
+    min_det = float(np.min(cell_min, initial=np.inf))
+    return ValidityReport(ok=not bad, min_det=min_det, bad_cells=bad)
 
 
 def export_text(mesh):

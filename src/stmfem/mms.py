@@ -11,7 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import cell_geometry, piola_values
+# cell_geometry and piola_values are not called here; perfbench/tracer.py
+# wraps these bindings to count geometry and Piola builds
+from .assembly import cell_geometry, piola_values  # noqa: F401
+from .assembly import evaluation
 from .exceptions import UnsupportedConfigurationError
 from .quadrature import gauss_legendre_unit, tensor_unit
 
@@ -73,90 +76,45 @@ def mms_standard(coefficient, omega=10.0 * math.pi):
                                 source=source, div_flux=div_flux)
 
 
-class _SpatialSampler:
-    """Precomputed per-cell tables for fast error quadrature."""
+def _space_time_error(solution, space, stacks, exact_fields, time_order,
+                      space_order):
+    """(sum over exact_fields of ||exact - discrete||^2 in L2(I; L2))^(1/2).
 
-    def __init__(self, solution, space_rule):
-        self.rule = space_rule
-        scalar_space = solution.scalar_space
-        flux_space = solution.flux_space
-        self.phi = scalar_space.ref.tabulate(space_rule.points)
-        geometry = cell_geometry(scalar_space.mesh, space_rule)
-        self.phys, _, self.det = geometry
-        self.wdet = space_rule.weights[None, :] * self.det
-        # piola_values bakes the orientation signs into the tables, so the
-        # contraction below uses the raw global coefficients
-        self.flux_vals, self.flux_divs, _ = piola_values(
-            flux_space, space_rule, geometry)
-        self.scalar_dofs = scalar_space.cell_dofs
-        self.flux_dofs = flux_space.cell_dofs
-
-    def scalar_values(self, coef):
-        local = coef[self.scalar_dofs]
-        return np.einsum("qi,ci->cq", self.phi, local)
-
-    def flux_values(self, coef):
-        local = coef[self.flux_dofs]
-        vals = np.einsum("cqla,cl->cqa", self.flux_vals, local)
-        divs = np.einsum("cql,cl->cq", self.flux_divs, local)
-        return vals, divs
-
-    def flat_points(self):
-        return self.phys.reshape(-1, 2)
-
-
-def _time_weights(solution, time_order):
-    part = solution.partition
-    trule = gauss_legendre_unit(time_order)
+    exact_fields pair, in order, with the space's value and divergence
+    operators from assembly.evaluation.
+    """
+    ev = evaluation(space, tensor_unit(space_order or (space.p + 3)))
+    trule = gauss_legendre_unit(time_order or (solution.basis.r + 3))
     basis_vals = solution.basis.eval_trial_all(trule.points)  # (nt, r+1)
-    return part, trule, basis_vals
+    part = solution.partition
+    nt, npts = len(trule.points), len(ev.weights)
+    total = 0.0
+    for n, stack in enumerate(stacks):
+        tau = part.step_size(n)
+        times = part.nodes[n] + tau * trule.points
+        coefs = basis_vals @ stack  # (nt, n_dofs)
+        for op, exact in zip((ev.values, ev.divs), exact_fields):
+            discrete = (op @ coefs.T).T.reshape(nt, npts, -1)
+            for k, t in enumerate(times):
+                diff = exact(ev.points, t).reshape(npts, -1) - discrete[k]
+                total += tau * trule.weights[k] * float(
+                    ev.weights @ np.sum(diff**2, axis=1))
+    return math.sqrt(total)
 
 
 def error_u(solution, exact, time_order=None, space_order=None):
     """|| u_exact - u_h || in L2(I; L2(Omega))."""
-    r = solution.basis.r
-    p = solution.scalar_space.p
-    trule_order = time_order or (r + 3)
-    srule = tensor_unit(space_order or (p + 3))
-    sampler = _SpatialSampler(solution, srule)
-    part, trule, basis_vals = _time_weights(solution, trule_order)
-    pts = sampler.flat_points()
-    total = 0.0
-    for n in range(solution.n_intervals):
-        tau = part.step_size(n)
-        times = part.nodes[n] + tau * trule.points
-        stack = solution.scalar_coeffs[n]
-        for k, t in enumerate(times):
-            coef = basis_vals[k] @ stack
-            uh = sampler.scalar_values(coef)
-            ue = exact.scalar(pts, t).reshape(uh.shape)
-            total += tau * trule.weights[k] * float(
-                np.sum(sampler.wdet * (ue - uh) ** 2))
-    return math.sqrt(total)
+    return _space_time_error(solution, solution.scalar_space,
+                             solution.scalar_coeffs, (exact.scalar,),
+                             time_order, space_order)
 
 
 def error_q_V(solution, exact, time_order=None, space_order=None):
     """|| q_exact - q_h || in L2(I; V), V-norm = (L2^2 + ||div||^2)^(1/2)."""
-    r = solution.basis.r
-    p = solution.flux_space.p
-    trule_order = time_order or (r + 3)
-    srule = tensor_unit(space_order or (p + 3))
-    sampler = _SpatialSampler(solution, srule)
-    part, trule, basis_vals = _time_weights(solution, trule_order)
-    pts = sampler.flat_points()
-    total = 0.0
-    for n in range(solution.n_intervals):
-        tau = part.step_size(n)
-        times = part.nodes[n] + tau * trule.points
-        stack = solution.flux_coeffs[n]
-        for k, t in enumerate(times):
-            coef = basis_vals[k] @ stack
-            qh, div_qh = sampler.flux_values(coef)
-            qe = exact.flux(pts, t).reshape(qh.shape)
-            dqe = exact.div_flux(pts, t).reshape(div_qh.shape)
-            sq = np.sum((qe - qh) ** 2, axis=2) + (dqe - div_qh) ** 2
-            total += tau * trule.weights[k] * float(np.sum(sampler.wdet * sq))
-    return math.sqrt(total)
+    return _space_time_error(solution, solution.flux_space,
+                             solution.flux_coeffs,
+                             (exact.flux, exact.div_flux),
+                             time_order, space_order)
 
 
 def eoc(errors):

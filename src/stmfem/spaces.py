@@ -13,7 +13,7 @@ where sigma tracks the normal convention (outward of the lower-index cell)
 and rho whether the cell traverses the edge against the global direction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,6 +165,9 @@ class ScalarSpace:
     ref: ScalarReference
     n_dofs: int
     cell_dofs: np.ndarray  # (nc, (p+1)^2)
+    # assembly.evaluation's tables, one entry per quadrature rule
+    evaluations: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,9 @@ class FluxSpace:
     n_edge_dofs: int       # global count of edge-moment DoFs
     cell_dofs: np.ndarray  # (nc, n_local)
     cell_signs: np.ndarray  # (nc, n_local), +-1
+    # assembly.evaluation's tables, one entry per quadrature rule
+    evaluations: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
 
 @dataclass
@@ -288,17 +294,16 @@ def l2_project_scalar(g, space, rule=None):
     """L2 projection onto the scalar space; cell-by-cell Gram solves."""
     if not isinstance(space, ScalarSpace):
         raise TypeError("l2_project_scalar needs a scalar space")
-    from .assembly import cell_geometry  # local import to stay cycle free
+    from . import assembly  # local import to stay cycle free
 
     if rule is None:
         rule = tensor_unit(space.p + 3)
+    ev = assembly.evaluation(space, rule)
     phi = space.ref.tabulate(rule.points)
-    phys, _, det = cell_geometry(space.mesh, rule)
-    wdet = rule.weights[None, :] * det
+    wdet = ev.weights.reshape(space.mesh.n_cells, -1)
     gram = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
-    gvals = g(phys.reshape(-1, 2)).reshape(det.shape)
-    rhs = np.einsum("cq,qi->ci", wdet * gvals, phi)
-    local = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    rhs = ev.values.T @ (ev.weights * g(ev.points))
+    local = np.linalg.solve(gram, rhs[space.cell_dofs][:, :, None])[:, :, 0]
     coef = np.empty(space.n_dofs)
     coef[space.cell_dofs] = local
     return FeFunction(space=space, coefficients=coef)
@@ -311,8 +316,6 @@ def l2_project_flux(g, space, rule=None):
     from . import assembly
     from scipy.sparse.linalg import spsolve
 
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
     mass = assembly.assemble_weighted_mass_flux(
         space, assembly.CoefficientField.identity(), rule)
     rhs = assembly.assemble_flux_moments(space, g, rule)

@@ -87,9 +87,6 @@ class TemporalBasis:
         """phi_j at reference times that; cardinal on the trial nodes."""
         return self._trial.eval(that)[:, j]
 
-    def eval_trial_deriv(self, j, that):
-        return self._trial.eval_deriv(that)[:, j]
-
     def eval_trial_all(self, that):
         """All trial values at reference times, shape (npts, r + 1)."""
         return self._trial.eval(that)
@@ -128,24 +125,3 @@ def build_basis(r):
         _trial=trial,
         _test=test,
     )
-
-
-def reconstruct(basis, coeffs, partition, n, t):
-    """Evaluate the trial expansion sum_j c_j phi_j at time t in interval n.
-
-    coeffs is a sequence of r + 1 coefficient vectors (or scalars) for
-    interval n (0-based).  At t = t_n the left-endpoint coefficient c_0 is
-    returned exactly.
-    """
-    t0 = partition.nodes[n]
-    t1 = partition.nodes[n + 1]
-    if t < t0 - 1e-12 or t > t1 + 1e-12:
-        raise ValueError(f"time {t} outside interval ({t0}, {t1}]")
-    that = (t - t0) / (t1 - t0)
-    that = min(max(that, 0.0), 1.0)
-    w = basis.eval_trial_all(np.array([that]))[0]
-    coeffs = [np.asarray(c, dtype=float) for c in coeffs]
-    out = w[0] * coeffs[0]
-    for j in range(1, basis.r + 1):
-        out = out + w[j] * coeffs[j]
-    return out

@@ -9,12 +9,20 @@ from stmfem.assembly import (
     assemble_mass_scalar,
     assemble_weighted_mass_flux,
     cell_geometry,
+    evaluation,
     piola_values,
 )
 from stmfem.exceptions import InvalidCoefficientError
 from stmfem.mesh import distort, level_seed, unit_square_mesh
 from stmfem.quadrature import tensor_unit
-from stmfem.spaces import build_pair, rt_interpolate
+from stmfem.spaces import (
+    FeFunction,
+    build_pair,
+    eval_div_flux,
+    eval_flux,
+    eval_scalar,
+    rt_interpolate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +256,59 @@ def test_cell_geometry_matches_cell_map():
         Jk, detk = cm.jacobian(rule.points)
         assert_allclose(J[k], Jk, atol=1e-14)
         assert_allclose(det[k], detk, atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_evaluation_matches_per_cell_evaluation(p, rng):
+    # eval_* sign the coefficients per cell; the operators carry signed tables
+    m = distort(unit_square_mesh(2), 0.2, level_seed(13, 2))
+    scalar, flux = build_pair(m, p)
+    rule = tensor_unit(p + 3)
+    shape = (m.n_cells, len(rule.weights))
+    u = FeFunction(scalar, rng.standard_normal(scalar.n_dofs))
+    q = FeFunction(flux, rng.standard_normal(flux.n_dofs))
+    ev_u, ev_q = evaluation(scalar, rule), evaluation(flux, rule)
+    assert ev_u.divs is None
+    assert_allclose(ev_q.points, ev_u.points, rtol=0, atol=0)
+    assert_allclose(ev_q.weights, ev_u.weights, rtol=0, atol=0)
+    points = ev_u.points.reshape(shape + (2,))
+    weights = ev_u.weights.reshape(shape)
+    u_vals = (ev_u.values @ u.coefficients).reshape(shape)
+    q_vals = (ev_q.values @ q.coefficients).reshape(shape + (2,))
+    q_divs = (ev_q.divs @ q.coefficients).reshape(shape)
+    for k in range(m.n_cells):
+        cm = m.cell_map(k)
+        _, det = cm.jacobian(rule.points)
+        assert_allclose(points[k], cm.map(rule.points), atol=1e-15)
+        assert_allclose(weights[k], rule.weights * det, rtol=1e-14)
+        assert_allclose(u_vals[k], eval_scalar(u, k, rule.points),
+                        rtol=1e-12, atol=1e-13)
+        assert_allclose(q_vals[k], eval_flux(q, k, rule.points),
+                        rtol=1e-12, atol=1e-12)
+        assert_allclose(q_divs[k], eval_div_flux(q, k, rule.points),
+                        rtol=1e-12, atol=1e-11)
+
+
+def test_run_and_error_norms_build_geometry_at_most_three_times(
+        monkeypatch, mms_problem):
+    import stmfem.assembly as asm
+    from stmfem.mms import error_q_V, error_u
+    from stmfem.timeloop import run
+
+    calls = []
+    original = asm.cell_geometry
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "cell_geometry", counting)
+    exact, data = mms_problem
+    mesh = distort(unit_square_mesh(2), 0.2, level_seed(17, 2))
+    solution = run(data, mesh, p=1, r=2, n_steps=4)
+    error_u(solution, exact)
+    error_q_V(solution, exact)
+    assert len(calls) <= 3
 
 
 def test_dump_coo_roundtrip(tmp_path):

@@ -39,6 +39,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(distortion=0.6)
 
+    @pytest.mark.parametrize("values", [
+        dict(p=-1), dict(p=5), dict(r=0), dict(r=6),
+        dict(level_min=9, level_max=9), dict(level_max=9),
+        dict(n_steps_base=0), dict(final_time=0.0), dict(final_time=-1.0),
+    ])
+    def test_out_of_range_rejected(self, values):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**values)
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(seed=1)
         b = ExperimentConfig(seed=1)
@@ -153,3 +162,12 @@ class TestCli:
 
     def test_bad_levels_rejected(self, capsys):
         assert cli_main(["--levels", "3..1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "7"], ["--r", "6"], ["--n-steps-base", "0"],
+        ["--final-time", "-1"], ["--levels", "9..9"],
+    ])
+    def test_out_of_range_flags_are_configuration_errors(self, tmp_path,
+                                                         capsys, argv):
+        assert cli_main(argv + ["--out", str(tmp_path), "--quiet"]) == 2
+        assert "configuration error" in capsys.readouterr().err

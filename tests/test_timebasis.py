@@ -3,7 +3,8 @@ import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
-from stmfem.timebasis import TimePartition, build_basis, reconstruct
+from stmfem.timebasis import TimePartition, build_basis
+from stmfem.timeloop import SpaceTimeSolution
 
 
 def symbolic_tables(r):
@@ -128,16 +129,6 @@ def test_test_basis_r1_constant():
     assert_allclose(vals, np.ones(3), rtol=1e-15)
 
 
-def test_trial_deriv_matches_difference_quotient():
-    basis = build_basis(3)
-    pts = np.array([0.12, 0.5, 0.83])
-    h = 1e-6
-    for j in range(4):
-        d = basis.eval_trial_deriv(j, pts)
-        fd = (basis.eval_trial(j, pts + h) - basis.eval_trial(j, pts - h)) / (2 * h)
-        assert_allclose(d, fd, atol=1e-7)
-
-
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_invalid_degree_rejected(r):
     for bad in (0, 6, -1):
@@ -146,34 +137,29 @@ def test_invalid_degree_rejected(r):
     build_basis(r)
 
 
-class TestReconstruct:
+class TestCoefficientsAt:
     def setup_method(self):
-        self.partition = TimePartition.uniform(1.0, 4)
-        self.basis = build_basis(2)
+        self.solution = SpaceTimeSolution(TimePartition.uniform(1.0, 4),
+                                          build_basis(2), None, None)
+
+    def append(self, values):
+        stack = np.array(values, dtype=float)[:, None]
+        self.solution.append_interval(stack, stack.copy())
 
     def test_constant_coefficients(self):
-        c = [np.array([3.5]), np.array([3.5]), np.array([3.5])]
+        for _ in range(2):
+            self.append([3.5, 3.5, 3.5])
         for t in (0.251, 0.3, 0.5):
-            assert_allclose(reconstruct(self.basis, c, self.partition, 1, t),
-                            [3.5], rtol=1e-13)
-
-    def test_left_endpoint_returns_first_coefficient(self):
-        c = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
-        out = reconstruct(self.basis, c, self.partition, 2, 0.5)
-        assert_allclose(out, [1.0], atol=1e-14)
+            for coef in self.solution.coefficients_at(t):
+                assert_allclose(coef, [3.5], rtol=1e-13)
 
     def test_right_endpoint_r2(self):
         # phi_1(1) = -sqrt(3), phi_2(1) = +sqrt(3) on nodes {0, gauss}
         a, b = 0.7, -0.2
-        c = [np.array([0.0]), np.array([a]), np.array([b])]
-        out = reconstruct(self.basis, c, self.partition, 0, 0.25)
+        self.append([0.0, a, b])
         expected = -np.sqrt(3) * a + np.sqrt(3) * b
-        assert_allclose(out, [expected], rtol=1e-13)
-
-    def test_outside_interval_rejected(self):
-        c = [np.zeros(1)] * 3
-        with pytest.raises(ValueError):
-            reconstruct(self.basis, c, self.partition, 1, 0.9)
+        for coef in self.solution.coefficients_at(0.25):
+            assert_allclose(coef, [expected], rtol=1e-13)
 
 
 class TestTimePartition:
