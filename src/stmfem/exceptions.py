@@ -21,11 +21,14 @@ class UnsupportedConfigurationError(Exception):
 
 
 class SolverFailureError(Exception):
-    """A linear solve did not reach the requested residual."""
+    """A solve missed its tolerance at `interval`, in `stage` direct/schur/gmres."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, interval=None,
+                 stage=None):
         self.residual = residual
         self.iterations = iterations
+        self.interval = interval
+        self.stage = stage
         if residual is not None:
             message = f"{message} (relative residual {residual:.3e})"
         super().__init__(message)

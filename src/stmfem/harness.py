@@ -8,18 +8,16 @@ together with their experimental orders.
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field, fields
 
 from . import mesh as meshmod
 from . import spaces, timebasis
 from .assembly import CoefficientField
-from .mms import ErrorReport, error_q_V, error_u, mms_standard
-from .spaces import build_pair
+from .mms import DEFAULT_OMEGA, ErrorReport, error_q_V, error_u, mms_standard
+# build_pair is not called here; perfbench/tracer.py wraps this binding
+from .spaces import build_pair  # noqa: F401
 from .timeloop import ProblemData, run
-
-DEFAULT_OMEGA = 10.0 * math.pi
 
 
 @dataclass
@@ -104,12 +102,12 @@ def run_convergence(config, progress=None):
     for level in config.levels():
         t0 = time.perf_counter()
         m = build_level_mesh(config, level)
-        scalar, flux = build_pair(m, config.p)
         n = config.n_steps(level)
         solution = run(data, m, p=config.p, r=config.r, n_steps=n,
                        solver=config.solver)
         eu = error_u(solution, exact)
         eq = error_q_V(solution, exact)
+        ndofs.append(solution.scalar_space.n_dofs + solution.flux_space.n_dofs)
         # the solution's spaces hold their quadrature tables; free them
         # before the next, larger level is solved
         del solution
@@ -118,7 +116,6 @@ def run_convergence(config, progress=None):
         taus.append(config.final_time / n)
         cells.append(m.n_cells)
         hs.append(meshmod.h_max(m))
-        ndofs.append(scalar.n_dofs + flux.n_dofs)
         err_us.append(eu)
         err_qs.append(eq)
         walls.append(time.perf_counter() - t0)

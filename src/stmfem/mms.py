@@ -24,6 +24,8 @@ from .assembly import evaluation
 from .exceptions import UnsupportedConfigurationError
 from .quadrature import gauss_legendre_unit, tensor_unit
 
+DEFAULT_OMEGA = 10.0 * math.pi
+
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
@@ -42,7 +44,7 @@ class ManufacturedSolution:
         return lambda x: self.flux(x, 0.0)
 
 
-def mms_standard(coefficient, omega=10.0 * math.pi):
+def mms_standard(coefficient, omega=DEFAULT_OMEGA):
     """The separable sin-product solution on the unit square.
 
     u(x, t) = sin(omega t) sin(pi x1) sin(pi x2) with flux -D grad u; only

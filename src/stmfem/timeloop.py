@@ -13,7 +13,9 @@ endpoint flux coefficient Q^0 never enters the equations; it is carried
 along purely so the flux can be reconstructed anywhere in time.
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,7 +66,7 @@ class ProblemData:
 
 
 class SystemMatrices:
-    """The three time-independent matrices plus cached factorizations."""
+    """The three time-independent matrices plus the current interval operator."""
 
     def __init__(self, scalar_space, flux_space, coefficient, rule=None):
         if rule is None:
@@ -77,11 +79,7 @@ class SystemMatrices:
         self.mass_flux = assembly.assemble_weighted_mass_flux(
             flux_space, coefficient, rule)
         self.div = assembly.assemble_div_coupling(flux_space, scalar_space, rule)
-        self._block_mat = {}
-        self._block_lu = {}
-        self._block_norm = {}
-        self._flux_lu = None
-        self._schur_pre = {}
+        self._operator = None
 
     @property
     def n_scalar(self):
@@ -91,57 +89,58 @@ class SystemMatrices:
     def n_flux(self):
         return self.flux_space.n_dofs
 
-    def block_matrix(self, basis, tau):
-        """The sparse block operator of one interval (cached per step size)."""
-        key = (basis.r, float(tau))
-        if key not in self._block_mat:
-            r = basis.r
-            alpha, beta = basis.alpha, basis.beta
-            blocks = [[None] * (2 * r) for _ in range(2 * r)]
-            for i in range(r):
-                for j in range(r):
-                    a = alpha[i, j + 1]
-                    if a != 0.0:
-                        blocks[i][j] = a * self.mass_scalar
-                blocks[i][r + i] = (tau * beta[i]) * self.div
-                blocks[r + i][i] = -self.div.T
-                blocks[r + i][r + i] = self.mass_flux
-            self._block_mat[key] = sp.bmat(blocks, format="csc")
-        return self._block_mat[key]
-
-    def block_lu(self, basis, tau):
-        key = (basis.r, float(tau))
-        if key not in self._block_lu:
-            self._block_lu[key] = spla.splu(self.block_matrix(basis, tau))
-        return self._block_lu[key]
-
-    def block_norm(self, basis, tau):
-        key = (basis.r, float(tau))
-        if key not in self._block_norm:
-            self._block_norm[key] = spla.norm(self.block_matrix(basis, tau))
-        return self._block_norm[key]
-
+    @cached_property
     def flux_mass_lu(self):
-        if self._flux_lu is None:
-            self._flux_lu = spla.splu(self.mass_flux.tocsc())
-        return self._flux_lu
+        return spla.splu(self.mass_flux.tocsc())
 
-    def schur_preconditioner(self, basis, tau):
+    def operator(self, basis, tau):
+        """The interval operator for (r, tau), rebuilt only when the step changes.
+
+        Steps within 1e-12 relative of the cached one share it, so the
+        last-ulp spread of a linspace partition costs one factorization.
+        """
+        op = self._operator
+        if op is None or op.basis.r != basis.r or abs(tau - op.tau) > 1e-12 * op.tau:
+            op = self._operator = IntervalOperator(self, basis, tau)
+        return op
+
+
+class IntervalOperator:
+    """One interval's block matrix and its norm; factors are built on first use."""
+
+    def __init__(self, matrices, basis, tau):
+        # `matrices` holds this operator; a strong reference back would make a
+        # cycle that keeps the factors alive after run() until gc collects it
+        self.matrices = weakref.proxy(matrices)
+        self.basis, self.tau = basis, tau
+        r, alpha, beta = basis.r, basis.alpha, basis.beta
+        blocks = [[None] * (2 * r) for _ in range(2 * r)]
+        for i in range(r):
+            for j in range(r):
+                a = alpha[i, j + 1]
+                if a != 0.0:
+                    blocks[i][j] = a * matrices.mass_scalar
+            blocks[i][r + i] = (tau * beta[i]) * matrices.div
+            blocks[r + i][i] = -matrices.div.T
+            blocks[r + i][r + i] = matrices.mass_flux
+        self.matrix = sp.bmat(blocks, format="csc")
+        self.norm = spla.norm(self.matrix)
+
+    @cached_property
+    def lu(self):
+        return spla.splu(self.matrix)
+
+    @cached_property
+    def schur_preconditioner(self):
         """Block-diagonal preconditioner for the reduced scalar system.
 
         Uses the diagonal of M_D as a sparse stand-in for its inverse.
         """
-        key = (basis.r, float(tau))
-        if key not in self._schur_pre:
-            dinv = sp.diags(1.0 / self.mass_flux.diagonal())
-            approx = self.div @ dinv @ self.div.T
-            lus = []
-            for i in range(basis.r):
-                block = (basis.alpha[i, i + 1] * self.mass_scalar
-                         + tau * basis.beta[i] * approx)
-                lus.append(spla.splu(block.tocsc()))
-            self._schur_pre[key] = lus
-        return self._schur_pre[key]
+        m, basis = self.matrices, self.basis
+        approx = m.div @ sp.diags(1.0 / m.mass_flux.diagonal()) @ m.div.T
+        return [spla.splu((basis.alpha[i, i + 1] * m.mass_scalar
+                           + self.tau * basis.beta[i] * approx).tocsc())
+                for i in range(basis.r)]
 
 
 @dataclass
@@ -149,15 +148,13 @@ class StepSystem:
     """The block system of one interval: operator context plus right-hand side."""
 
     interval: int
-    tau: float
     basis: object
     matrices: SystemMatrices
     rhs: np.ndarray
-    gauss_times: np.ndarray
-    u_start: np.ndarray
+    operator: IntervalOperator
 
     def full_matrix(self):
-        return self.matrices.block_matrix(self.basis, self.tau)
+        return self.operator.matrix
 
 
 def initial_coefficients(data, scalar_space, flux_space, rule=None):
@@ -180,34 +177,33 @@ def build_step_system(interval, basis, matrices, data, u_start, partition):
         load = assembly.assemble_load(
             matrices.scalar_space, data.source, gauss_times[i], matrices.rule)
         rhs[i * nw:(i + 1) * nw] = tau * basis.beta[i] * load - basis.alpha[i, 0] * mwu
-    return StepSystem(interval=interval, tau=tau, basis=basis,
-                      matrices=matrices, rhs=rhs,
-                      gauss_times=gauss_times, u_start=u_start)
+    return StepSystem(interval=interval, basis=basis, matrices=matrices,
+                      rhs=rhs, operator=matrices.operator(basis, tau))
 
 
-def _check_residual(system, x, tol, label):
-    """Backward-error check ||Ax - b|| / (||A|| ||x|| + ||b||) <= tol."""
-    mat = system.full_matrix()
-    res = mat @ x - system.rhs
-    mat_norm = system.matrices.block_norm(system.basis, system.tau)
-    scale = mat_norm * np.linalg.norm(x) + np.linalg.norm(system.rhs)
+def _check_residual(system, x, tol, stage):
+    """Check ||Ax - b|| / (||A|| ||x|| + ||b||) <= tol for the A that was solved."""
+    op = system.operator
+    res = op.matrix @ x - system.rhs
+    scale = op.norm * np.linalg.norm(x) + np.linalg.norm(system.rhs)
     rel = np.linalg.norm(res) / scale if scale > 0.0 else np.linalg.norm(res)
     if rel > tol:
         raise SolverFailureError(
-            f"{label} solve on interval {system.interval} missed tolerance {tol}",
-            residual=rel,
+            f"{stage} solve on interval {system.interval} missed tolerance {tol}",
+            residual=rel, interval=system.interval, stage=stage,
         )
     return rel
 
 
 def _solve_direct(system, tol):
-    lu = system.matrices.block_lu(system.basis, system.tau)
-    x = lu.solve(system.rhs)
-    # one step of iterative refinement keeps the saddle-point residual at
-    # rounding level on fine meshes
-    mat = system.full_matrix()
-    x += lu.solve(system.rhs - mat @ x)
-    _check_residual(system, x, tol, "direct")
+    op = system.operator
+    x = op.lu.solve(system.rhs)
+    try:
+        _check_residual(system, x, tol, "direct")
+    except SolverFailureError:
+        # refine once where one solve misses; a second miss raises
+        x += op.lu.solve(system.rhs - op.matrix @ x)
+        _check_residual(system, x, tol, "direct")
     return x
 
 
@@ -217,8 +213,8 @@ def _solve_schur(system, tol, maxiter=5000):
     basis = system.basis
     r = basis.r
     nw, nv = m.n_scalar, m.n_flux
-    tau = system.tau
-    flux_lu = m.flux_mass_lu()
+    tau = system.operator.tau   # the step _check_residual measures against
+    flux_lu = m.flux_mass_lu
     B = m.div
     MW = m.mass_scalar
 
@@ -234,7 +230,7 @@ def _solve_schur(system, tol, maxiter=5000):
                     out[i] += a * (MW @ u[j])
         return out.ravel()
 
-    pre = m.schur_preconditioner(basis, tau)
+    pre = system.operator.schur_preconditioner
 
     def apply_pre(v):
         v = np.asarray(v, dtype=float).reshape(r, nw)
@@ -252,7 +248,8 @@ def _solve_schur(system, tol, maxiter=5000):
             res = np.linalg.norm(reduced_matvec(u) - rhs_u) / np.linalg.norm(rhs_u)
             raise SolverFailureError(
                 f"GMRES did not converge on interval {system.interval} "
-                f"(info={info})", residual=res)
+                f"(info={info})", residual=res, interval=system.interval,
+                stage="gmres")
     x = np.zeros(r * (nw + nv))
     x[: r * nw] = u
     u = u.reshape(r, nw)

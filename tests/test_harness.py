@@ -73,6 +73,21 @@ def test_record_ndof_column_matches_spaces(small_record):
         assert rep.n_dofs[i] == scalar.n_dofs + flux.n_dofs
 
 
+def test_spaces_built_once_per_level(monkeypatch):
+    from stmfem import harness, timeloop
+    calls = []
+    for module in (harness, timeloop):
+        original = module.build_pair
+
+        def counted(m, p, original=original):
+            calls.append(p)
+            return original(m, p)
+
+        monkeypatch.setattr(module, "build_pair", counted)
+    run_convergence(ExperimentConfig(level_min=0, level_max=1, p=0, r=1))
+    assert len(calls) == 2
+
+
 def test_rerun_reproduces_bitwise(small_record):
     rec2 = run_convergence(small_record.config)
     assert rec2.report.err_u == small_record.report.err_u

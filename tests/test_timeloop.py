@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import stmfem as st
+from stmfem import timeloop
 from stmfem.assembly import CoefficientField
 from stmfem.exceptions import SolverFailureError
 from stmfem.mesh import unit_square_mesh
@@ -209,11 +210,131 @@ class TestStepSystem:
     def test_impossible_tolerance_raises(self, mms_problem):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
-        system = build_step_system(0, self.basis, self.matrices, data, u0,
+        system = build_step_system(3, self.basis, self.matrices, data, u0,
                                    self.partition)
         with pytest.raises(SolverFailureError) as err:
             solve_step(system, tol=1e-30, strategy="direct")
         assert err.value.residual is not None
+        assert (err.value.interval, err.value.stage) == (3, "direct")
+
+    def test_schur_residual_miss_names_interval_and_stage(self, mms_problem):
+        _, data = mms_problem
+        u0, _ = initial_coefficients(data, self.scalar, self.flux)
+        system = build_step_system(3, self.basis, self.matrices, data, u0,
+                                   self.partition)
+        with pytest.raises(SolverFailureError) as err:
+            solve_step(system, tol=1e-30, strategy="schur")
+        assert (err.value.interval, err.value.stage) == (3, "schur")
+
+    def test_gmres_failure_names_interval_and_stage(self, mms_problem,
+                                                     monkeypatch):
+        _, data = mms_problem
+        u0, _ = initial_coefficients(data, self.scalar, self.flux)
+        system = build_step_system(4, self.basis, self.matrices, data, u0,
+                                   self.partition)
+        monkeypatch.setattr(timeloop.spla, "gmres",
+                            lambda op, b, **kw: (np.zeros_like(b), 7))
+        with pytest.raises(SolverFailureError) as err:
+            solve_step(system, strategy="schur")
+        assert (err.value.interval, err.value.stage) == (4, "gmres")
+
+    @pytest.mark.parametrize("misses, solves", [(0, 1), (1, 2)])
+    def test_refines_only_when_one_solve_misses(self, mms_problem, misses,
+                                                solves):
+        _, data = mms_problem
+        u0, _ = initial_coefficients(data, self.scalar, self.flux)
+        system = build_step_system(2, self.basis, self.matrices, data, u0,
+                                   self.partition)
+        lu = _PerturbedLU(system.operator.lu, eps=1e-4, misses=misses)
+        system.operator.lu = lu
+        U, Q = solve_step(system, strategy="direct")
+        assert lu.calls == solves
+        dense = np.linalg.solve(system.full_matrix().toarray(), system.rhs)
+        got = np.concatenate([U.ravel(), Q.ravel()])
+        assert np.max(np.abs(got - dense)) < 1e-10
+
+    def test_refinement_miss_raises(self, mms_problem):
+        _, data = mms_problem
+        u0, _ = initial_coefficients(data, self.scalar, self.flux)
+        system = build_step_system(2, self.basis, self.matrices, data, u0,
+                                   self.partition)
+        lu = _PerturbedLU(system.operator.lu, eps=1e-3, misses=2)
+        system.operator.lu = lu
+        with pytest.raises(SolverFailureError) as err:
+            solve_step(system, strategy="direct")
+        assert lu.calls == 2
+        assert (err.value.interval, err.value.stage) == (2, "direct")
+
+
+class _PerturbedLU:
+    """Exact LU solves, scaled by 1 + eps on the first `misses` calls."""
+
+    def __init__(self, lu, eps, misses):
+        self.lu, self.eps, self.misses = lu, eps, misses
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        x = self.lu.solve(rhs)
+        return x * (1.0 + self.eps) if self.calls <= self.misses else x
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    splu = timeloop.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(timeloop.spla, "splu", counted)
+    return calls
+
+
+def _dense_block(matrices, basis, tau):
+    """The interval's block matrix, built densely from the three matrices."""
+    r, MW = basis.r, matrices.mass_scalar.toarray()
+    B, MD = matrices.div.toarray(), matrices.mass_flux.toarray()
+    rows = []
+    for i in range(r):
+        rows.append([basis.alpha[i, j + 1] * MW for j in range(r)]
+                    + [tau * basis.beta[i] * B if j == i else np.zeros_like(B)
+                       for j in range(r)])
+    for i in range(r):
+        rows.append([-B.T if j == i else np.zeros_like(B.T) for j in range(r)]
+                    + [MD if j == i else np.zeros_like(MD) for j in range(r)])
+    return np.block(rows)
+
+
+class TestFactorizations:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("solver", ["direct", "schur"])
+    def test_uniform_run_factors_once(self, mms_problem, monkeypatch, r,
+                                      solver):
+        # linspace(0, 1, 11) gives four step sizes that differ in the last ulp
+        _, data = mms_problem
+        calls = _count_splu(monkeypatch)
+        run(data, unit_square_mesh(1), p=1, r=r, n_steps=10, solver=solver)
+        assert len(calls) == (1 if solver == "direct" else 1 + r)
+
+    def test_distinct_steps_get_their_own_factor(self, mms_problem,
+                                                 monkeypatch):
+        _, data = mms_problem
+        scalar, flux = build_pair(unit_square_mesh(1), 1)
+        basis = build_basis(2)
+        matrices = SystemMatrices(scalar, flux, data.diffusion)
+        partition = TimePartition(np.array([0.0, 0.1, 0.3]))
+        calls = _count_splu(monkeypatch)
+        u0, _ = initial_coefficients(data, scalar, flux)
+        for n, tau in enumerate([0.1, 0.2]):
+            system = build_step_system(n, basis, matrices, data, u0, partition)
+            U, Q = solve_step(system, strategy="direct")
+            dense = np.linalg.solve(_dense_block(matrices, basis, tau),
+                                    system.rhs)
+            got = np.concatenate([U.ravel(), Q.ravel()])
+            assert np.max(np.abs(got - dense)) < 1e-10
+            u0 = endpoint_value(basis, np.vstack([u0[None, :], U]))
+        assert len(calls) == 2
 
 
 class TestAdvance:
