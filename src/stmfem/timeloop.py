@@ -128,7 +128,7 @@ class IntervalOperator:
 
     @cached_property
     def lu(self):
-        return spla.splu(self.matrix)
+        return CondensedLU(self.matrix, self.matrices, self.basis.r)
 
     @cached_property
     def schur_preconditioner(self):
@@ -141,6 +141,50 @@ class IntervalOperator:
         return [spla.splu((basis.alpha[i, i + 1] * m.mass_scalar
                            + self.tau * basis.beta[i] * approx).tocsc())
                 for i in range(basis.r)]
+
+
+class CondensedLU:
+    """Exact solver for an interval's block matrix by static condensation.
+
+    A cell's scalar unknowns and interior flux moments (set I, all r blocks)
+    couple only within the cell, so A_II is block diagonal and is inverted
+    cell by cell; only the Schur complement on the edge moments (set G),
+    A_GG - A_GI A_II^-1 A_IG, is factored.
+    """
+
+    def __init__(self, matrix, matrices, r):
+        nw, nv, flux = matrices.n_scalar, matrices.n_flux, matrices.flux_space
+        n_cell_edge = 4 * flux.ref.n_edge_dofs
+        interior = np.hstack(
+            [i * nw + matrices.scalar_space.cell_dofs for i in range(r)]
+            + [r * nw + i * nv + flux.cell_dofs[:, n_cell_edge:]
+               for i in range(r)])
+        nc, m = interior.shape
+        self.interior = interior.ravel()
+        self.edge = (r * nw + nv * np.arange(r)[:, None]
+                     + np.arange(flux.n_edge_dofs)).ravel()
+        rows = matrix.tocsr()
+        a_i, a_g = rows[self.interior], rows[self.edge]
+        a_ii = a_i[:, self.interior].tocoo()
+        cell, row = np.divmod(a_ii.row, m)
+        if np.any(a_ii.col // m != cell):
+            raise RuntimeError("interior unknowns of different cells couple")
+        blocks = np.zeros((nc, m, m))
+        blocks[cell, row, a_ii.col % m] = a_ii.data
+        self.a_ii_inv = sp.bsr_matrix(
+            (np.linalg.inv(blocks), np.arange(nc), np.arange(nc + 1)),
+            shape=(nc * m, nc * m)).tocsr()
+        self.a_gi = a_g[:, self.interior]
+        self.elim = self.a_ii_inv @ a_i[:, self.edge]    # A_II^{-1} A_IG
+        self.edge_lu = spla.splu(
+            (a_g[:, self.edge] - self.a_gi @ self.elim).tocsc())
+
+    def solve(self, rhs):
+        y = self.a_ii_inv @ rhs[self.interior]
+        x = np.empty_like(rhs)
+        x[self.edge] = self.edge_lu.solve(rhs[self.edge] - self.a_gi @ y)
+        x[self.interior] = y - self.elim @ x[self.edge]
+        return x
 
 
 @dataclass
@@ -217,8 +261,11 @@ def _solve_schur(system, tol, maxiter=5000):
     flux_lu = m.flux_mass_lu
     B = m.div
     MW = m.mass_scalar
+    applications = 0
 
     def reduced_matvec(u):
+        nonlocal applications
+        applications += 1
         u = np.asarray(u, dtype=float).reshape(r, nw)
         out = np.zeros((r, nw))
         for i in range(r):
@@ -236,8 +283,10 @@ def _solve_schur(system, tol, maxiter=5000):
         v = np.asarray(v, dtype=float).reshape(r, nw)
         return np.concatenate([pre[i].solve(v[i]) for i in range(r)])
 
-    op = spla.LinearOperator((r * nw, r * nw), matvec=reduced_matvec)
-    M = spla.LinearOperator((r * nw, r * nw), matvec=apply_pre)
+    # with a dtype LinearOperator skips its probe matvec: `applications`
+    # counts GMRES's calls only
+    op, M = (spla.LinearOperator((r * nw, r * nw), matvec=f, dtype=float)
+             for f in (reduced_matvec, apply_pre))
     rhs_u = system.rhs[: r * nw]
     if np.linalg.norm(rhs_u) == 0.0:
         u = np.zeros(r * nw)
@@ -245,11 +294,12 @@ def _solve_schur(system, tol, maxiter=5000):
         u, info = spla.gmres(op, rhs_u, rtol=1e-13, atol=0.0,
                              restart=200, maxiter=maxiter, M=M)
         if info != 0:
+            iterations = applications
             res = np.linalg.norm(reduced_matvec(u) - rhs_u) / np.linalg.norm(rhs_u)
             raise SolverFailureError(
                 f"GMRES did not converge on interval {system.interval} "
-                f"(info={info})", residual=res, interval=system.interval,
-                stage="gmres")
+                f"(info={info})", residual=res, iterations=iterations,
+                interval=system.interval, stage="gmres")
     x = np.zeros(r * (nw + nv))
     x[: r * nw] = u
     u = u.reshape(r, nw)

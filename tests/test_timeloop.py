@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from numpy.testing import assert_allclose
 
 import stmfem as st
 from stmfem import timeloop
 from stmfem.assembly import CoefficientField
 from stmfem.exceptions import SolverFailureError
-from stmfem.mesh import unit_square_mesh
+from stmfem.mesh import distort, unit_square_mesh
 from stmfem.spaces import build_pair, eval_scalar, l2_project_flux, FeFunction
 from stmfem.timebasis import TimePartition, build_basis
 from stmfem.timeloop import (
@@ -232,11 +233,18 @@ class TestStepSystem:
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(4, self.basis, self.matrices, data, u0,
                                    self.partition)
-        monkeypatch.setattr(timeloop.spla, "gmres",
-                            lambda op, b, **kw: (np.zeros_like(b), 7))
+        applications = 3
+
+        def failing_gmres(op, b, **kw):
+            for _ in range(applications):
+                op.matvec(b)
+            return np.zeros_like(b), 7
+
+        monkeypatch.setattr(timeloop.spla, "gmres", failing_gmres)
         with pytest.raises(SolverFailureError) as err:
             solve_step(system, strategy="schur")
         assert (err.value.interval, err.value.stage) == (4, "gmres")
+        assert err.value.iterations == applications
 
     @pytest.mark.parametrize("misses, solves", [(0, 1), (1, 2)])
     def test_refines_only_when_one_solve_misses(self, mms_problem, misses,
@@ -280,12 +288,13 @@ class _PerturbedLU:
 
 
 def _count_splu(monkeypatch):
+    """Record the shape of every matrix timeloop factors."""
     calls = []
     splu = timeloop.spla.splu
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(timeloop.spla, "splu", counted)
     return calls
@@ -313,9 +322,15 @@ class TestFactorizations:
                                       solver):
         # linspace(0, 1, 11) gives four step sizes that differ in the last ulp
         _, data = mms_problem
+        mesh = unit_square_mesh(1)
         calls = _count_splu(monkeypatch)
-        run(data, unit_square_mesh(1), p=1, r=r, n_steps=10, solver=solver)
-        assert len(calls) == (1 if solver == "direct" else 1 + r)
+        run(data, mesh, p=1, r=r, n_steps=10, solver=solver)
+        if solver == "direct":
+            # only the system in the edge flux moments is factored
+            n_edge = r * build_pair(mesh, 1)[1].n_edge_dofs
+            assert calls == [(n_edge, n_edge)]
+        else:
+            assert len(calls) == 1 + r
 
     def test_distinct_steps_get_their_own_factor(self, mms_problem,
                                                  monkeypatch):
@@ -335,6 +350,36 @@ class TestFactorizations:
             assert np.max(np.abs(got - dense)) < 1e-10
             u0 = endpoint_value(basis, np.vstack([u0[None, :], U]))
         assert len(calls) == 2
+
+
+class TestCondensedSolve:
+    """The condensed direct solve against a dense solve of the full matrix."""
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(p=hst.integers(0, 4), r=hst.integers(1, 5),
+           distortion=hst.floats(0.0, 0.45, exclude_max=True),
+           seed=hst.integers(0, 2**32 - 1))
+    def test_matches_dense_solve(self, zero_data, p, r, distortion, seed):
+        mesh = distort(unit_square_mesh(1), distortion, seed)
+        scalar, flux = build_pair(mesh, p)
+        basis = build_basis(r)
+        matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
+        system = build_step_system(0, basis, matrices, zero_data,
+                                   np.zeros(scalar.n_dofs),
+                                   TimePartition.uniform(1.0, 10))
+        # a random right-hand side reaches the flux rows too
+        b = np.random.default_rng(seed).standard_normal(len(system.rhs))
+        system.rhs = b
+        U, Q = solve_step(system, strategy="direct")
+        got = np.concatenate([U.ravel(), Q.ravel()])
+        A = _dense_block(matrices, basis, system.operator.tau)
+        dense = np.linalg.solve(A, b)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+        # one condensed solve, without the refinement solve_step may add
+        for x in (got, system.operator.lu.solve(b)):
+            backward = np.linalg.norm(A @ x - b) / (
+                np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+            assert backward <= 1e-14
 
 
 class TestAdvance:
