@@ -21,7 +21,11 @@ class UnsupportedConfigurationError(Exception):
 
 
 class SolverFailureError(Exception):
-    """A solve missed its tolerance at `interval`, in `stage` direct/schur/gmres."""
+    """A solve failed at `interval`, in `stage` rhs/direct/schur/gmres.
+
+    "rhs" means the right-hand side held a NaN or infinity, so nothing was
+    solved; the other stages missed their tolerance.
+    """
 
     def __init__(self, message, residual=None, iterations=None, interval=None,
                  stage=None):

@@ -112,35 +112,25 @@ class QuadMesh:
         self._build_edges()
 
     def _build_edges(self):
-        nc = len(self.cells)
-        edge_ids = {}
-        edge_vertices = []
-        edge_cells = []
-        cell_edges = np.empty((nc, 4), dtype=np.int64)
-        for k in range(nc):
-            corners = self.cells[k]
-            for l in range(4):
-                a, b = int(corners[l]), int(corners[(l + 1) % 4])
-                key = (min(a, b), max(a, b))
-                e = edge_ids.get(key)
-                if e is None:
-                    e = len(edge_vertices)
-                    edge_ids[key] = e
-                    edge_vertices.append(key)
-                    edge_cells.append([k, -1])
-                else:
-                    edge_cells[e][1] = k
-                cell_edges[k, l] = e
-        self.edge_vertices = np.array(edge_vertices, dtype=np.int64)
-        self.edge_cells = np.array(edge_cells, dtype=np.int64)
-        self.cell_edges = cell_edges
+        # local edge l of cell k is slot 4k + l; edges are numbered in order of
+        # first appearance, so an edge's first slot lies in its lower-index cell
+        ends = np.stack([self.cells, np.roll(self.cells, -1, axis=1)], axis=2)
+        keys, first, inverse = np.unique(np.sort(ends.reshape(-1, 2), axis=1),
+                                         axis=0, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        slot_edge = np.argsort(order)[inverse.ravel()]
+        later = np.ones(len(slot_edge), dtype=bool)
+        later[first] = False
+        self.edge_vertices = keys[order]
+        self.edge_cells = np.column_stack([first[order] // 4,
+                                           np.full(len(order), -1)])
+        self.edge_cells[slot_edge[later], 1] = np.flatnonzero(later) // 4
+        self.cell_edges = slot_edge.reshape(-1, 4)
         self.boundary_edge = self.edge_cells[:, 1] < 0
-        on_bnd = np.zeros(len(self.vertices), dtype=bool)
         v = self.vertices
-        eps = 1e-12
-        on_bnd |= (np.abs(v[:, 0]) < eps) | (np.abs(v[:, 0] - 1.0) < eps)
-        on_bnd |= (np.abs(v[:, 1]) < eps) | (np.abs(v[:, 1] - 1.0) < eps)
-        self.boundary_vertex = on_bnd
+        self.boundary_vertex = np.any(
+            (np.abs(v) < 1e-12) | (np.abs(v - 1.0) < 1e-12), axis=1)
 
     @property
     def n_vertices(self):
@@ -163,23 +153,22 @@ class QuadMesh:
         """Corner coordinates of all cells, shape (nc, 4, 2)."""
         return self.vertices[self.cells]
 
-    def edge_unit_data(self, e):
-        """(start, end, normal) of edge e in the global convention.
+    def edge_frames(self):
+        """(start, end, normal) of every edge in the global convention.
 
-        The parametrization runs from the lower to the higher vertex index;
-        the normal is the outward normal of the lower-index adjacent cell.
+        Each is an (ne, 2) array: the parametrization runs from the lower to
+        the higher vertex index, and the unit normal is the outward normal of
+        the lower-index adjacent cell.
         """
-        a, b = self.edge_vertices[e]
-        pa, pb = self.vertices[a], self.vertices[b]
-        k = int(self.edge_cells[e, 0])
-        corners = self.cells[k]
-        loc = int(np.where(self.cell_edges[k] == e)[0][0])
-        v0 = self.vertices[corners[loc]]
-        v1 = self.vertices[corners[(loc + 1) % 4]]
-        t = v1 - v0
-        normal = np.array([t[1], -t[0]])  # outward of a CCW cell
-        normal /= np.linalg.norm(normal)
-        return pa, pb, normal
+        # edges are numbered by first appearance, so the first slot naming an
+        # edge is a local edge of its lower-index cell
+        slot = np.unique(self.cell_edges, return_index=True)[1]
+        t = (self.vertices[np.roll(self.cells, -1, axis=1).ravel()[slot]]
+             - self.vertices[self.cells.ravel()[slot]])
+        normal = np.column_stack([t[:, 1], -t[:, 0]])  # outward of a CCW cell
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        ev = self.edge_vertices
+        return self.vertices[ev[:, 0]], self.vertices[ev[:, 1]], normal
 
 
 def unit_square_mesh(level):
@@ -192,16 +181,9 @@ def unit_square_mesh(level):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs)
     vertices = np.column_stack([X.ravel(), Y.ravel()])  # index j*(n+1)+i
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = np.empty((n * n, 4), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            cells[k] = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            k += 1
+    # cell k = j*n + i has lower-left corner v = j*(n+1) + i
+    v = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    cells = np.column_stack([v, v + 1, v + n + 2, v + n + 1])
     return QuadMesh(vertices, cells, level=level)
 
 
@@ -219,10 +201,13 @@ def _incident_min_edge_length(mesh):
 def distort(mesh, factor, seed):
     """Randomly move interior vertices by up to factor * (shortest incident edge).
 
-    Each interior vertex, in ascending index order, is shifted by a vector
-    with direction uniform in [0, 2*pi) and magnitude uniform in
-    [0, factor * e_min(v)]; the draws come from a PCG64 generator seeded with
-    `seed`, angle before magnitude, so the result is reproducible bit for bit.
+    Each interior vertex is shifted by a vector with direction uniform in
+    [0, 2*pi) and magnitude uniform in [0, factor * e_min(v)].  The draws
+    come from one `random((n_interior, 2))` call on a PCG64 generator seeded
+    with `seed`: row i belongs to the i-th interior vertex in ascending index
+    order, column 0 gives the angle and column 1 the magnitude.  That is the
+    same stream, bit for bit, as drawing angle then magnitude with
+    `uniform` vertex by vertex, so the result is reproducible bit for bit.
     Boundary vertices and mesh topology are untouched.
     """
     if not 0.0 <= factor < 0.5:
@@ -231,15 +216,13 @@ def distort(mesh, factor, seed):
         return QuadMesh(mesh.vertices.copy(), mesh.cells.copy(),
                         level=mesh.level, distortion=0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    emin = _incident_min_edge_length(mesh)
+    interior = np.flatnonzero(~mesh.boundary_vertex)
+    angle, magnitude = rng.random((len(interior), 2)).T
+    angle = 2.0 * np.pi * angle
+    radius = factor * _incident_min_edge_length(mesh)[interior] * magnitude
     vertices = mesh.vertices.copy()
-    for v in range(len(vertices)):
-        if mesh.boundary_vertex[v]:
-            continue
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        radius = rng.uniform(0.0, factor * emin[v])
-        vertices[v, 0] += radius * np.cos(angle)
-        vertices[v, 1] += radius * np.sin(angle)
+    vertices[interior, 0] += radius * np.cos(angle)
+    vertices[interior, 1] += radius * np.sin(angle)
     out = QuadMesh(vertices, mesh.cells.copy(), level=mesh.level, distortion=factor)
     report = validity_check(out)
     if not report.ok:

@@ -221,40 +221,22 @@ def build_pair(mesh, p):
     ned = fref.n_edge_dofs
     nint = fref.n_interior_dofs
     n_dofs = ne * ned + nc * nint
-    cell_dofs = np.empty((nc, fref.n_local), dtype=np.int64)
-    cell_signs = np.ones((nc, fref.n_local))
-    moment_parity = np.array([(-1.0) ** k for k in range(ned)])
-    for k in range(nc):
-        corners = mesh.cells[k]
-        for l in range(4):
-            e = mesh.cell_edges[k, l]
-            start, end = int(corners[l]), int(corners[(l + 1) % 4])
-            sigma = 1.0 if mesh.edge_cells[e, 0] == k else -1.0
-            cols = slice(l * ned, (l + 1) * ned)
-            cell_dofs[k, cols] = e * ned + np.arange(ned)
-            if start < end:
-                cell_signs[k, cols] = sigma
-            else:
-                cell_signs[k, cols] = sigma * moment_parity
-        if nint:
-            cell_dofs[k, 4 * ned:] = ne * ned + k * nint + np.arange(nint)
+    # local edge l of a cell carries its global edge's moments, flipped by
+    # sigma where the cell is the higher-index neighbour, and by (-1)^k for
+    # moment k where the cell runs the edge from its high vertex to its low one
+    edges = mesh.cell_edges
+    sigma = np.where(mesh.edge_cells[edges, 0] == np.arange(nc)[:, None], 1.0, -1.0)
+    against = mesh.cells > np.roll(mesh.cells, -1, axis=1)
+    parity = np.where(against[:, :, None], (-1.0) ** np.arange(ned), 1.0)
+    cell_dofs = np.hstack([
+        (edges[:, :, None] * ned + np.arange(ned)).reshape(nc, 4 * ned),
+        ne * ned + np.arange(nc * nint, dtype=np.int64).reshape(nc, nint)])
+    cell_signs = np.hstack([(sigma[:, :, None] * parity).reshape(nc, 4 * ned),
+                            np.ones((nc, nint))])
     flux = FluxSpace(mesh=mesh, p=p, ref=fref, n_dofs=n_dofs,
                      n_edge_dofs=ne * ned, cell_dofs=cell_dofs,
                      cell_signs=cell_signs)
     return scalar, flux
-
-
-def local_coefficients(f):
-    """Per-cell signed local coefficient array, shape (nc, n_local).
-
-    These pair with the unsigned reference tables (ref.tabulate); the signed
-    tables from assembly.piola_values pair with raw coefficient gathers
-    instead, so never combine the two.
-    """
-    space = f.space
-    if isinstance(space, FluxSpace):
-        return space.cell_signs * f.coefficients[space.cell_dofs]
-    return f.coefficients[space.cell_dofs]
 
 
 def eval_scalar(f, cell, xhat):
@@ -339,16 +321,14 @@ def rt_interpolate(g, space, rule_1d=None, rule_2d=None):
         rule_1d = gauss_legendre_unit(p + 3)
     if rule_2d is None:
         rule_2d = tensor_unit(p + 3)
-    ned = space.ref.n_edge_dofs
     coef = np.empty(space.n_dofs)
+    start, end, normal = mesh.edge_frames()
+    pts = start[:, None, :] + rule_1d.points[:, None] * (end - start)[:, None, :]
+    gn = np.einsum("eqd,ed->eq", g(pts.reshape(-1, 2)).reshape(pts.shape), normal)
+    length = np.linalg.norm(end - start, axis=1)
     leg = shifted_legendre(p, rule_1d.points)
-    for e in range(mesh.n_edges):
-        pa, pb, normal = mesh.edge_unit_data(e)
-        pts = pa[None, :] + rule_1d.points[:, None] * (pb - pa)[None, :]
-        gn = g(pts) @ normal
-        length = np.linalg.norm(pb - pa)
-        for k in range(ned):
-            coef[e * ned + k] = length * np.dot(rule_1d.weights * leg[:, k], gn)
+    moments = length[:, None] * (gn @ (rule_1d.weights[:, None] * leg))
+    coef[:space.n_edge_dofs] = moments.ravel()
     nint = space.ref.n_interior_dofs
     if nint:
         from .assembly import cell_geometry
@@ -369,8 +349,5 @@ def rt_interpolate(g, space, rule_1d=None, rule_2d=None):
                        for a in range(p + 1) for b in range(p)])
         mom_x = np.einsum("mq,cq->cm", wx, ghat[..., 0])
         mom_y = np.einsum("mq,cq->cm", wy, ghat[..., 1])
-        base = space.n_edge_dofs
-        interior = np.concatenate([mom_x, mom_y], axis=1)
-        for k in range(mesh.n_cells):
-            coef[base + k * nint: base + (k + 1) * nint] = interior[k]
+        coef[space.n_edge_dofs:] = np.concatenate([mom_x, mom_y], axis=1).ravel()
     return FeFunction(space=space, coefficients=coef)

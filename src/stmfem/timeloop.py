@@ -231,7 +231,7 @@ def _check_residual(system, x, tol, stage):
     res = op.matrix @ x - system.rhs
     scale = op.norm * np.linalg.norm(x) + np.linalg.norm(system.rhs)
     rel = np.linalg.norm(res) / scale if scale > 0.0 else np.linalg.norm(res)
-    if rel > tol:
+    if not rel <= tol:  # NaN fails too
         raise SolverFailureError(
             f"{stage} solve on interval {system.interval} missed tolerance {tol}",
             residual=rel, interval=system.interval, stage=stage,
@@ -313,8 +313,13 @@ def solve_step(system, tol=DEFAULT_TOL, strategy="direct"):
     """Solve one interval's block system.
 
     Returns (U, Q) with U of shape (r, n_scalar) and Q of shape (r, n_flux),
-    the Gauss-point coefficients i = 1..r.
+    the Gauss-point coefficients i = 1..r.  A non-finite right-hand side is
+    rejected before anything is factored or iterated.
     """
+    if not np.all(np.isfinite(system.rhs)):
+        raise SolverFailureError(
+            f"non-finite right-hand side on interval {system.interval}",
+            interval=system.interval, stage="rhs")
     if strategy == "direct":
         x = _solve_direct(system, tol)
     elif strategy == "schur":

@@ -113,6 +113,29 @@ class TestDistort:
             d = distort(m, 0.25, seed)  # raises if invalid
             assert validity_check(d, rule).ok
 
+    @pytest.mark.parametrize("level", [2, 4])
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_matches_documented_per_vertex_draws(self, level, seed):
+        # interior vertices in ascending order, each drawing its angle and
+        # then its magnitude with `uniform`
+        m = unit_square_mesh(level)
+        factor = 0.25
+        ev = m.edge_vertices
+        lengths = np.linalg.norm(m.vertices[ev[:, 0]] - m.vertices[ev[:, 1]],
+                                 axis=1)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        expected = m.vertices.copy()
+        for v in range(m.n_vertices):
+            if m.boundary_vertex[v]:
+                continue
+            emin = lengths[(ev == v).any(axis=1)].min()
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            radius = rng.uniform(0.0, factor * emin)
+            expected[v, 0] += radius * np.cos(angle)
+            expected[v, 1] += radius * np.sin(angle)
+        got = distort(m, factor, seed).vertices
+        assert got.tobytes() == expected.tobytes()
+
     def test_invalid_factor_rejected(self):
         m = unit_square_mesh(2)
         with pytest.raises(ValueError):

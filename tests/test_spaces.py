@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as hst
 from numpy.testing import assert_allclose
 
 import stmfem.assembly as assembly
+from stmfem.exceptions import InvalidMeshError
 from stmfem.mesh import distort, level_seed, unit_square_mesh
 from stmfem.quadrature import tensor_unit
 from stmfem.spaces import (
@@ -58,6 +60,51 @@ def test_dimension_formulas(p):
     scalar, flux = build_pair(m, p)
     assert scalar.n_dofs == m.n_cells * (p + 1) ** 2
     assert flux.n_dofs == m.n_edges * (p + 1) + m.n_cells * 2 * p * (p + 1)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(level=hst.integers(0, 5), p=hst.integers(0, 4),
+       distortion=hst.floats(0.0, 0.45, exclude_max=True),
+       seed=hst.integers(0, 2**32 - 1))
+def test_edge_numbering_and_dof_signs(level, p, distortion, seed):
+    try:
+        m = distort(unit_square_mesh(level), distortion, seed)
+    except InvalidMeshError:
+        reject()
+    cells, ce, ec = m.cells, m.cell_edges, m.edge_cells
+    # local edge l runs from corner l to corner (l + 1) % 4
+    ends = np.sort(np.stack([cells, cells[:, [1, 2, 3, 0]]], axis=2), axis=2)
+    assert np.array_equal(m.edge_vertices[ce], ends)
+    # edges are numbered in order of first appearance
+    numbers, first = np.unique(ce.ravel(), return_index=True)
+    assert np.array_equal(numbers, np.arange(m.n_edges))
+    assert np.all(np.diff(first) > 0)
+    # every listed cell contains the edge; interior rows are ascending
+    e = np.arange(m.n_edges)
+    inner = ec[:, 1] >= 0
+    assert np.array_equal(~inner, m.boundary_edge)
+    assert np.all(ec[inner, 0] < ec[inner, 1])
+    local = [np.argmax(ce[ec[inner, side]] == e[inner, None], axis=1)
+             for side in (0, 1)]
+    for side in (0, 1):
+        assert np.all(ce[ec[inner, side], local[side]] == e[inner])
+    assert np.all((ce[ec[~inner, 0]] == e[~inner, None]).any(axis=1))
+
+    _, flux = build_pair(m, p)
+    ned = p + 1
+    cols = np.arange(ned)
+    signs = [flux.cell_signs[ec[inner, side][:, None],
+                             local[side][:, None] * ned + cols]
+             for side in (0, 1)]
+    # the normals are opposite and so are the traversal directions
+    assert np.array_equal(signs[0] * signs[1],
+                          np.broadcast_to(-(-1.0) ** cols, signs[0].shape))
+    counts = np.bincount(flux.cell_dofs.ravel(), minlength=flux.n_dofs)
+    assert len(counts) == flux.n_dofs
+    assert np.all(counts[flux.n_edge_dofs:] == 1)
+    assert np.array_equal(counts[:flux.n_edge_dofs].reshape(-1, ned),
+                          np.broadcast_to(np.where(inner, 2, 1)[:, None],
+                                          (m.n_edges, ned)))
 
 
 def test_degree_cap():
@@ -153,11 +200,12 @@ def test_normal_trace_continuity(p, rng, distorted_mesh):
     f = FeFunction(space=flux, coefficients=rng.standard_normal(flux.n_dofs))
     params = rng.uniform(0.02, 0.98, 5)
     worst = 0.0
+    normals = m.edge_frames()[2]
     for e in range(m.n_edges):
         k0, k1 = m.edge_cells[e]
         if k1 < 0:
             continue
-        _, _, normal = m.edge_unit_data(e)
+        normal = normals[e]
         traces = []
         for k in (int(k0), int(k1)):
             loc = int(np.where(m.cell_edges[k] == e)[0][0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -434,6 +436,32 @@ class TestRun:
                 vals = eval_scalar(fu, k, xhat)
                 ref = FeFunction(space=sol.scalar_space, coefficients=right_u)
                 assert np.max(np.abs(vals - eval_scalar(ref, k, xhat))) < 1e-13
+
+    @pytest.mark.parametrize("solver", ["direct", "schur"])
+    def test_non_finite_source_fails_at_its_interval(self, mms_problem,
+                                                     monkeypatch, solver):
+        _, data = mms_problem
+
+        def source(x, t):
+            f = data.source(x, t)
+            if t > 0.5:
+                f[0] = np.nan
+            return f
+
+        gmres_calls = []
+        gmres = timeloop.spla.gmres
+
+        def counted_gmres(*args, **kwargs):
+            gmres_calls.append(1)
+            return gmres(*args, **kwargs)
+
+        monkeypatch.setattr(timeloop.spla, "gmres", counted_gmres)
+        with pytest.raises(SolverFailureError) as err:
+            run(dataclasses.replace(data, source=source), unit_square_mesh(1),
+                p=1, r=2, n_steps=4, solver=solver)
+        assert (err.value.interval, err.value.stage) == (2, "rhs")
+        # intervals 0 and 1 only: the bad interval never reaches GMRES
+        assert len(gmres_calls) == (2 if solver == "schur" else 0)
 
     def test_determinism(self, mms_problem):
         _, data = mms_problem
