@@ -58,12 +58,9 @@ class CoefficientField:
 
         return cls(matrix, d_min=d, d_max=d, isotropic_value=float(d))
 
-    def at(self, points):
-        return self.matrix(points)
-
     def inverse_at(self, points):
         """D(x)^{-1} at points, validating symmetry and positivity there."""
-        D = self.at(points)
+        D = self.matrix(points)
         if np.max(np.abs(D - np.transpose(D, (0, 2, 1)))) > 1e-12:
             raise InvalidCoefficientError("diffusion tensor is not symmetric")
         tr = D[:, 0, 0] + D[:, 1, 1]
@@ -219,10 +216,23 @@ def assemble_div_coupling(flux_space, scalar_space, rule=None):
     return _scatter(local, scalar_space.cell_dofs, flux_space.cell_dofs, shape)
 
 
-def assemble_load(space, f, t, rule=None):
-    """Scalar load vector <f(., t), w_i> at one time t."""
+def sample_in_time(f, points, times, vector=False):
+    """f at n points and a 1-D array of times: (len(times), n) or, for a
+    vector field, (len(times), n, 2); any other shape raises ValueError."""
+    if np.ndim(times) != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {np.shape(times)}")
+    values = np.asarray(f(points, times))
+    expected = (len(times), len(points)) + (2,) * vector
+    if values.shape != expected:
+        raise ValueError(f"time-dependent callable gave shape {values.shape}, "
+                         f"expected (len(t), n{', 2' * vector}) = {expected}")
+    return values
+
+
+def assemble_load(space, f, times, rule=None):
+    """Load vectors <f(., t), w_i>, one column per time t in `times`."""
     ev = evaluation(space, rule)
-    return ev.values.T @ (ev.weights * f(ev.points, t))
+    return ev.values.T @ (sample_in_time(f, ev.points, times) * ev.weights).T
 
 
 def assemble_flux_moments(space, g, rule=None):

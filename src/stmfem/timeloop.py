@@ -36,12 +36,13 @@ class ProblemData:
 
     initial_flux should evaluate -D grad u0; when omitted it is derived from
     initial_scalar by central finite differences (adequate for diagnostics,
-    exact whenever u0 = 0).
+    exact whenever u0 = 0).  The source takes a 1-D array of times and is
+    called once per interval with all of its Gauss times.
     """
 
     diffusion: assembly.CoefficientField
     initial_scalar: object          # callable (n, 2) -> (n,)
-    source: object                  # callable ((n, 2), t) -> (n,)
+    source: object                  # callable ((n, 2), (nt,)) -> (nt, n)
     final_time: float
     initial_flux: object = None     # callable (n, 2) -> (n, 2) or None
 
@@ -49,18 +50,13 @@ class ProblemData:
         if self.initial_flux is not None:
             return self.initial_flux
         u0 = self.initial_scalar
-        D = self.diffusion
         h = 1e-6
 
         def q0(x):
             x = np.atleast_2d(x)
-            ex = np.array([h, 0.0])
-            ey = np.array([0.0, h])
-            grad = np.column_stack([
-                (u0(x + ex) - u0(x - ex)) / (2 * h),
-                (u0(x + ey) - u0(x - ey)) / (2 * h),
-            ])
-            return -np.einsum("nab,nb->na", D.at(x), grad)
+            grad = np.column_stack([(u0(x + e) - u0(x - e)) / (2 * h)
+                                    for e in np.eye(2) * h])
+            return -np.einsum("nab,nb->na", self.diffusion.matrix(x), grad)
 
         return q0
 
@@ -210,17 +206,13 @@ def initial_coefficients(data, scalar_space, flux_space, rule=None):
 
 def build_step_system(interval, basis, matrices, data, u_start, partition):
     """Assemble the right-hand side of interval `interval` (0-based)."""
-    r = basis.r
-    t0 = partition.nodes[interval]
     tau = partition.step_size(interval)
-    gauss_times = t0 + tau * basis.test_nodes
-    nw, nv = matrices.n_scalar, matrices.n_flux
-    rhs = np.zeros(r * (nw + nv))
+    gauss_times = partition.nodes[interval] + tau * basis.test_nodes
+    loads = assembly.assemble_load(matrices.scalar_space, data.source,
+                                   gauss_times, matrices.rule)  # (nw, r)
     mwu = matrices.mass_scalar @ u_start
-    for i in range(r):
-        load = assembly.assemble_load(
-            matrices.scalar_space, data.source, gauss_times[i], matrices.rule)
-        rhs[i * nw:(i + 1) * nw] = tau * basis.beta[i] * load - basis.alpha[i, 0] * mwu
+    rhs_u = (tau * basis.beta * loads).T - basis.alpha[:, :1] * mwu
+    rhs = np.concatenate([rhs_u.ravel(), np.zeros(basis.r * matrices.n_flux)])
     return StepSystem(interval=interval, basis=basis, matrices=matrices,
                       rhs=rhs, operator=matrices.operator(basis, tau))
 
@@ -425,28 +417,21 @@ def local_mass_balance(solution, data, matrices):
     every interval and Gauss index, a per-cell balance the solver should
     satisfy to its residual tolerance.
     """
-    basis = solution.basis
-    part = solution.partition
-    space = matrices.scalar_space
-    cell_dofs = space.cell_dofs
+    basis, part = solution.basis, solution.partition
+    cell_dofs = matrices.scalar_space.cell_dofs
     worst = 0.0
     for n in range(solution.n_intervals):
         tau = part.step_size(n)
-        gauss_times = part.nodes[n] + tau * basis.test_nodes
-        u_stack = solution.scalar_coeffs[n]
-        q_stack = solution.flux_coeffs[n]
-        mwu = [(matrices.mass_scalar @ u_stack[j])[cell_dofs].sum(axis=1)
-               for j in range(basis.r + 1)]
-        for i in range(basis.r):
-            bq = (matrices.div @ q_stack[i + 1])[cell_dofs].sum(axis=1)
-            load = assembly.assemble_load(space, data.source, gauss_times[i],
-                                          matrices.rule)
-            fk = load[cell_dofs].sum(axis=1)
-            acc = sum(basis.alpha[i, j] * mwu[j] for j in range(basis.r + 1))
-            lhs = acc + tau * basis.beta[i] * bq
-            rhs = tau * basis.beta[i] * fk
-            scale = np.maximum.reduce(
-                [np.abs(acc), tau * basis.beta[i] * np.abs(bq), np.abs(rhs)])
-            scale = np.maximum(scale, 1e-30)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+        load = assembly.assemble_load(matrices.scalar_space, data.source,
+                                      part.nodes[n] + tau * basis.test_nodes,
+                                      matrices.rule)
+        # per-cell sums, one column per Gauss index i
+        mwu = (matrices.mass_scalar @ solution.scalar_coeffs[n].T)[cell_dofs]
+        acc = mwu.sum(axis=1) @ basis.alpha.T
+        bq = (matrices.div @ solution.flux_coeffs[n][1:].T)[cell_dofs].sum(axis=1)
+        tb = tau * basis.beta
+        rhs = tb * load[cell_dofs].sum(axis=1)
+        scale = np.maximum.reduce([np.abs(acc), tb * np.abs(bq), np.abs(rhs)])
+        scale = np.maximum(scale, 1e-30)
+        worst = max(worst, float(np.max(np.abs(acc + tb * bq - rhs) / scale)))
     return worst

@@ -266,27 +266,28 @@ def _flux_err(f, g, rule):
 def _poly_problem():
     def u(x, t):
         x = np.atleast_2d(x)
-        return t**2 * x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1])
+        return np.outer(t**2, x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]))
 
     def q(x, t):
         x = np.atleast_2d(x)
-        return -t**2 * np.column_stack([
+        return (-t**2)[:, None, None] * np.column_stack([
             (1 - 2 * x[:, 0]) * x[:, 1] * (1 - x[:, 1]),
             x[:, 0] * (1 - x[:, 0]) * (1 - 2 * x[:, 1])])
 
     def div_q(x, t):
         x = np.atleast_2d(x)
-        return 2 * t**2 * (x[:, 0] * (1 - x[:, 0]) + x[:, 1] * (1 - x[:, 1]))
+        return np.outer(2 * t**2,
+                        x[:, 0] * (1 - x[:, 0]) + x[:, 1] * (1 - x[:, 1]))
 
     def f(x, t):
         x = np.atleast_2d(x)
-        return (2 * t * x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1])
+        return (np.outer(2 * t, x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]))
                 + div_q(x, t))
 
     exact = st.ManufacturedSolution(omega=0.0, scalar=u, flux=q, source=f,
                                     div_flux=div_q)
     data = ProblemData(diffusion=CoefficientField.identity(),
-                       initial_scalar=lambda x: u(x, 0.0), source=f,
+                       initial_scalar=lambda x: u(x, np.zeros(1))[0], source=f,
                        final_time=1.0)
     return exact, data
 

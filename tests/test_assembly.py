@@ -179,13 +179,15 @@ def test_mesh_mismatch_rejected():
 class TestLoad:
     def test_zero_source(self):
         scalar, _ = build_pair(unit_square_mesh(1), 2)
-        vec = assemble_load(scalar, lambda x, t: np.zeros(len(np.atleast_2d(x))), 0.3)
+        vec = assemble_load(scalar, lambda x, t: np.zeros((len(t), len(x))),
+                            np.array([0.3]))
         assert np.max(np.abs(vec)) == 0.0
 
     def test_constant_source_p0(self):
         scalar, _ = build_pair(unit_square_mesh(2), 0)
-        vec = assemble_load(scalar, lambda x, t: np.ones(len(np.atleast_2d(x))), 0.0)
-        assert_allclose(vec, np.full(16, 1 / 16), rtol=1e-14)
+        vec = assemble_load(scalar, lambda x, t: np.ones((len(t), len(x))),
+                            np.zeros(1))
+        assert_allclose(vec, np.full((16, 1), 1 / 16), rtol=1e-14)
 
     def test_mms_source_against_oracle(self, level1_pair):
         import stmfem as st
@@ -193,15 +195,35 @@ class TestLoad:
         exact = st.mms_standard(CoefficientField.identity())
         rule = tensor_unit(5)
         t = 0.05
-        vec = assemble_load(scalar, exact.source, t, rule)
+        vec = assemble_load(scalar, exact.source, np.array([t]), rule)[:, 0]
         phi = scalar.ref.tabulate(rule.points)
         for k in (0, 2):
             cm = m.cell_map(k)
             _, det = cm.jacobian(rule.points)
-            fv = exact.source(cm.map(rule.points), t)
+            fv = exact.source(cm.map(rule.points), np.array([t]))[0]
             for li, dof in enumerate(scalar.cell_dofs[k]):
                 oracle = float(np.sum(rule.weights * det * fv * phi[:, li]))
                 assert abs(vec[dof] - oracle) < 1e-12 * max(1.0, abs(oracle))
+
+    def test_one_column_per_time(self, level1_pair):
+        import stmfem as st
+        _, (scalar, _) = level1_pair
+        source = st.mms_standard(CoefficientField.identity()).source
+        times = np.array([0.0, 0.013, 0.05, 0.31, 0.9])
+        loads = assemble_load(scalar, source, times)
+        assert loads.shape == (scalar.n_dofs, len(times))
+        for k in range(len(times)):
+            single = assemble_load(scalar, source, times[k:k + 1])[:, 0]
+            assert (np.max(np.abs(loads[:, k] - single))
+                    <= 1e-15 * np.max(np.abs(single)))
+
+    def test_source_of_one_time_rejected(self):
+        # an (n,) source, the shape of a single time, does not fit (len(t), n)
+        scalar, _ = build_pair(unit_square_mesh(1), 1)
+        with pytest.raises(ValueError, match=r"\(len\(t\), n\)"):
+            assemble_load(scalar, lambda x, t: np.ones(len(x)), np.zeros(1))
+        with pytest.raises(ValueError, match="1-D array"):
+            assemble_load(scalar, lambda x, t: np.ones((1, len(x))), 0.3)
 
 
 def test_assembly_deterministic(level1_pair):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,10 +20,10 @@ def standard():
 class TestManufacturedSolution:
     def test_initial_value_vanishes(self, standard):
         x = np.random.default_rng(0).uniform(0, 1, (20, 2))
-        assert np.max(np.abs(standard.scalar(x, 0.0))) == 0.0
+        assert np.max(np.abs(standard.scalar(x, np.zeros(1)))) == 0.0
 
     def test_flux_vanishes_at_center(self, standard):
-        q = standard.flux(np.array([[0.5, 0.5]]), 0.37)
+        q = standard.flux(np.array([[0.5, 0.5]]), np.array([0.37]))
         assert np.max(np.abs(q)) < 1e-12
 
     def test_source_value(self, standard):
@@ -31,12 +32,13 @@ class TestManufacturedSolution:
         t, x = 0.1, np.array([[0.25, 0.25]])
         expected = (omega * math.cos(omega * t)
                     + 2 * math.pi**2 * math.sin(omega * t)) * math.sin(math.pi / 4) ** 2
-        assert_allclose(standard.source(x, t), [expected], rtol=1e-13)
+        assert_allclose(standard.source(x, np.array([t])), [[expected]],
+                        rtol=1e-13)
 
     def test_consistency_by_finite_differences(self, standard):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.2, 0.8, (5, 2))
-        t = 0.217
+        t = np.array([0.217])
         h = 1e-6
         dudt = (standard.scalar(pts, t + h) - standard.scalar(pts, t - h)) / (2 * h)
         fd_f = dudt + standard.div_flux(pts, t)
@@ -47,12 +49,12 @@ class TestManufacturedSolution:
         gx = (standard.scalar(pts + ex, t) - standard.scalar(pts - ex, t)) / (2 * h)
         gy = (standard.scalar(pts + ey, t) - standard.scalar(pts - ey, t)) / (2 * h)
         q = standard.flux(pts, t)
-        assert np.max(np.abs(q + np.column_stack([gx, gy]))) < 1e-6
+        assert np.max(np.abs(q + np.stack([gx, gy], axis=-1))) < 1e-6
         # div q by finite differences of q
-        qxp = standard.flux(pts + ex, t)[:, 0]
-        qxm = standard.flux(pts - ex, t)[:, 0]
-        qyp = standard.flux(pts + ey, t)[:, 1]
-        qym = standard.flux(pts - ey, t)[:, 1]
+        qxp = standard.flux(pts + ex, t)[..., 0]
+        qxm = standard.flux(pts - ex, t)[..., 0]
+        qyp = standard.flux(pts + ey, t)[..., 1]
+        qym = standard.flux(pts - ey, t)[..., 1]
         fd_div = (qxp - qxm) / (2 * h) + (qyp - qym) / (2 * h)
         assert np.max(np.abs(fd_div - standard.div_flux(pts, t))) < 1e-5
 
@@ -72,22 +74,23 @@ class TestManufacturedSolution:
         exact = mms_standard(CoefficientField.isotropic(3.0))
         x = np.array([[0.3, 0.7]])
         base = mms_standard(CoefficientField.identity())
-        assert_allclose(exact.flux(x, 0.21), 3.0 * base.flux(x, 0.21), rtol=1e-13)
+        t = np.array([0.21])
+        assert_allclose(exact.flux(x, t), 3.0 * base.flux(x, t), rtol=1e-13)
 
 
 class TestErrorNorms:
     def test_zero_solution_zero_exact(self):
         data = ProblemData(diffusion=CoefficientField.identity(),
                            initial_scalar=lambda x: np.zeros(len(np.atleast_2d(x))),
-                           source=lambda x, t: np.zeros(len(np.atleast_2d(x))),
+                           source=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
                            final_time=1.0)
         sol = run(data, st.unit_square_mesh(1), p=1, r=1, n_steps=2)
         zero = st.ManufacturedSolution(
             omega=0.0,
-            scalar=lambda x, t: np.zeros(len(np.atleast_2d(x))),
-            flux=lambda x, t: np.zeros((len(np.atleast_2d(x)), 2)),
-            source=lambda x, t: np.zeros(len(np.atleast_2d(x))),
-            div_flux=lambda x, t: np.zeros(len(np.atleast_2d(x))))
+            scalar=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
+            flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)), 2)),
+            source=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
+            div_flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))))
         assert error_u(sol, zero) == 0.0
         assert error_q_V(sol, zero) == 0.0
 
@@ -106,12 +109,25 @@ class TestErrorNorms:
                                 np.zeros((2, flux.n_dofs)))
         zero = st.ManufacturedSolution(
             omega=0.0,
-            scalar=lambda x, t: np.zeros(len(np.atleast_2d(x))),
-            flux=lambda x, t: np.zeros((len(np.atleast_2d(x)), 2)),
-            source=lambda x, t: np.zeros(len(np.atleast_2d(x))),
-            div_flux=lambda x, t: np.zeros(len(np.atleast_2d(x))))
+            scalar=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
+            flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)), 2)),
+            source=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
+            div_flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))))
         assert abs(error_u(sol, zero) - 1.0) < 1e-13
         assert error_q_V(sol, zero) < 1e-13
+
+    def test_flux_of_one_time_rejected(self, standard):
+        # an (n, 2) flux, the shape of one time, has as many numbers as
+        # (2, n, 1); reshaped to (nt, n, -1) it would give a wrong norm
+        data = ProblemData(diffusion=CoefficientField.identity(),
+                           initial_scalar=standard.initial_scalar(),
+                           source=standard.source, final_time=1.0,
+                           initial_flux=standard.initial_flux())
+        sol = run(data, st.unit_square_mesh(1), p=1, r=1, n_steps=2)
+        old_style = dataclasses.replace(
+            standard, flux=lambda x, t: np.zeros((len(np.atleast_2d(x)), 2)))
+        with pytest.raises(ValueError, match=r"\(len\(t\), n, 2\)"):
+            error_q_V(sol, old_style, time_order=2)
 
     def test_against_scipy_quadrature_oracle(self, standard):
         # independent nested-quadrature oracle on a coarse solution
@@ -132,7 +148,8 @@ class TestErrorNorms:
         def spatial_sq_error(t):
             u_coef, _ = sol.coefficients_at(t)
             vals = np.einsum("qi,ci->cq", phi, u_coef[sol.scalar_space.cell_dofs])
-            ue = standard.scalar(phys.reshape(-1, 2), t).reshape(vals.shape)
+            ue = standard.scalar(phys.reshape(-1, 2), np.array([t]))[0]
+            ue = ue.reshape(vals.shape)
             return float(np.sum(wdet * (ue - vals) ** 2))
 
         oracle_sq = 0.0

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import stmfem as st
 from stmfem import timeloop
-from stmfem.assembly import CoefficientField
+from stmfem.assembly import CoefficientField, assemble_load
 from stmfem.exceptions import SolverFailureError
 from stmfem.mesh import distort, unit_square_mesh
 from stmfem.spaces import build_pair, eval_scalar, l2_project_flux, FeFunction
@@ -30,7 +30,7 @@ def zero_scalar(x):
 
 
 def zero_source(x, t):
-    return np.zeros(len(np.atleast_2d(x)))
+    return np.zeros((len(t), len(np.atleast_2d(x))))
 
 
 @pytest.fixture(scope="module")
@@ -46,26 +46,28 @@ def poly_problem():
 
     def u(x, t):
         x = np.atleast_2d(x)
-        return t**2 * x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1])
+        return np.outer(t**2, x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]))
 
     def q(x, t):
         x = np.atleast_2d(x)
-        return -t**2 * np.column_stack([
+        return (-t**2)[:, None, None] * np.column_stack([
             (1 - 2 * x[:, 0]) * x[:, 1] * (1 - x[:, 1]),
             x[:, 0] * (1 - x[:, 0]) * (1 - 2 * x[:, 1])])
 
     def div_q(x, t):
         x = np.atleast_2d(x)
-        return 2 * t**2 * (x[:, 0] * (1 - x[:, 0]) + x[:, 1] * (1 - x[:, 1]))
+        return np.outer(2 * t**2,
+                        x[:, 0] * (1 - x[:, 0]) + x[:, 1] * (1 - x[:, 1]))
 
     def f(x, t):
         x = np.atleast_2d(x)
-        return 2 * t * x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]) + div_q(x, t)
+        return (np.outer(2 * t, x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]))
+                + div_q(x, t))
 
     exact = st.ManufacturedSolution(omega=0.0, scalar=u, flux=q,
                                     source=f, div_flux=div_q)
     data = ProblemData(diffusion=CoefficientField.identity(),
-                       initial_scalar=lambda x: u(x, 0.0), source=f,
+                       initial_scalar=lambda x: u(x, np.zeros(1))[0], source=f,
                        final_time=1.0)
     return exact, data
 
@@ -444,8 +446,7 @@ class TestRun:
 
         def source(x, t):
             f = data.source(x, t)
-            if t > 0.5:
-                f[0] = np.nan
+            f[t > 0.5, 0] = np.nan
             return f
 
         gmres_calls = []
@@ -463,15 +464,45 @@ class TestRun:
         # intervals 0 and 1 only: the bad interval never reaches GMRES
         assert len(gmres_calls) == (2 if solver == "schur" else 0)
 
-    def test_determinism(self, mms_problem):
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @given(p=hst.integers(0, 3), r=hst.integers(1, 5),
+           distortion=hst.floats(0.0, 0.45, exclude_max=True),
+           seed=hst.integers(0, 2**32 - 1))
+    def test_determinism(self, mms_problem, p, r, distortion, seed):
+        # everything downstream of a seeded distortion, the mesh included
         _, data = mms_problem
-        mesh = unit_square_mesh(1)
-        a = run(data, mesh, p=2, r=2, n_steps=4)
-        b = run(data, mesh, p=2, r=2, n_steps=4)
-        for sa, sb in zip(a.scalar_coeffs, b.scalar_coeffs):
+        a, b = (run(data, distort(unit_square_mesh(1), distortion, seed),
+                    p=p, r=r, n_steps=4, solver="direct") for _ in range(2))
+        for sa, sb in zip(a.scalar_coeffs + a.flux_coeffs,
+                          b.scalar_coeffs + b.flux_coeffs):
             assert np.array_equal(sa, sb)
-        for qa, qb in zip(a.flux_coeffs, b.flux_coeffs):
-            assert np.array_equal(qa, qb)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(p=hst.integers(0, 3), r=hst.integers(1, 5),
+           distortion=hst.floats(0.0, 0.45, exclude_max=True),
+           seed=hst.integers(0, 2**32 - 1))
+    def test_energy_identity(self, mms_problem, p, r, distortion, seed):
+        # testing the scalar equations with U^i and using M_D Q^i = B^T U^i:
+        # 1/2 |U(t_n+1)|^2_MW - 1/2 |U^0|^2_MW + tau sum_i beta_i |Q^i|^2_MD
+        #   = tau sum_i beta_i (U^i)^T F(t_i) on every interval
+        _, data = mms_problem
+        sol = run(data, distort(unit_square_mesh(2), distortion, seed),
+                  p=p, r=r, n_steps=10)
+        m = SystemMatrices(sol.scalar_space, sol.flux_space, data.diffusion)
+        basis, nodes = sol.basis, sol.partition.nodes
+        taus = np.diff(nodes)
+        times = (nodes[:-1, None] + taus[:, None] * basis.test_nodes).ravel()
+        loads = assemble_load(sol.scalar_space, data.source, times,
+                              m.rule).T.reshape(len(taus), r, -1)
+        for tau, U, Q, F in zip(taus, sol.scalar_coeffs, sol.flux_coeffs, loads):
+            end = endpoint_value(basis, U)
+            energy = [0.5 * end @ (m.mass_scalar @ end),
+                      -0.5 * U[0] @ (m.mass_scalar @ U[0]),
+                      tau * basis.beta @ np.sum(Q[1:].T * (m.mass_flux @ Q[1:].T),
+                                                axis=0)]
+            work = tau * basis.beta @ np.sum(U[1:] * F, axis=1)
+            scale = sum(abs(e) for e in energy) + abs(work)
+            assert abs(sum(energy) - work) <= 1e-12 * scale
 
     def test_local_mass_balance(self, mms_problem):
         exact, data = mms_problem
