@@ -8,11 +8,11 @@ Three time-independent matrices drive the whole run:
 
 All integrals use tensor Gauss rules; on bilinear cell maps the integrands
 of M_W and M_D are rational, so the rule order is chosen one notch above
-polynomial exactness ((p+3) points per direction by default).  M_W, M_D and
-the load vectors come from one set of tables per space and rule
-(`evaluation`), built on first use and kept on the space.  The det J factors
-cancel in B, which therefore only sees reference quantities and the
-edge-orientation signs.
+polynomial exactness: (p+3) points per direction.  `evaluation` is the one
+place that picks that rule; M_W, M_D, the loads, the projections and the
+error norms read one set of tables per space and order, built on first use
+and kept on the space.  The det J factors cancel in B, which therefore only
+sees reference quantities and the edge-orientation signs.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .exceptions import InvalidCoefficientError, InvalidMeshError
 from .mesh import bilinear_map
-from .quadrature import tensor_unit
+from .quadrature import TensorRule2D, tensor_unit
 from .spaces import FluxSpace
 
 
@@ -34,9 +34,9 @@ class CoefficientField:
         self.d_min = float(d_min)
         self.d_max = float(d_max)
         self.isotropic_value = isotropic_value
-        if d_min <= 0.0 or d_max < d_min:
+        if not 0.0 < self.d_min <= self.d_max < np.inf:  # NaN fails too
             raise InvalidCoefficientError(
-                f"ellipticity bounds must satisfy 0 < d_min <= d_max, "
+                f"ellipticity bounds must satisfy 0 < d_min <= d_max < inf, "
                 f"got ({d_min}, {d_max})"
             )
 
@@ -46,9 +46,6 @@ class CoefficientField:
 
     @classmethod
     def isotropic(cls, d):
-        if d <= 0.0:
-            raise InvalidCoefficientError(f"isotropic coefficient must be > 0, got {d}")
-
         def matrix(x):
             x = np.atleast_2d(x)
             out = np.zeros((len(x), 2, 2))
@@ -59,13 +56,15 @@ class CoefficientField:
         return cls(matrix, d_min=d, d_max=d, isotropic_value=float(d))
 
     def inverse_at(self, points):
-        """D(x)^{-1} at points, validating symmetry and positivity there."""
+        """D(x)^{-1} at points, validating finiteness, symmetry and positivity."""
         D = self.matrix(points)
-        if np.max(np.abs(D - np.transpose(D, (0, 2, 1)))) > 1e-12:
+        if not np.all(np.isfinite(D)):
+            raise InvalidCoefficientError("diffusion tensor is not finite")
+        if not np.max(np.abs(D - np.transpose(D, (0, 2, 1)))) <= 1e-12:
             raise InvalidCoefficientError("diffusion tensor is not symmetric")
         tr = D[:, 0, 0] + D[:, 1, 1]
         det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
-        if np.any(det <= 0.0) or np.any(tr <= 0.0):
+        if not (np.all(det > 0.0) and np.all(tr > 0.0)):
             raise InvalidCoefficientError(
                 "diffusion tensor is not positive definite at a quadrature point"
             )
@@ -121,6 +120,7 @@ class Evaluation:
     `divs` maps them to the divergence (None for scalars).
     """
 
+    rule: TensorRule2D     # the reference rule the tables were built from
     points: np.ndarray     # (nc * nq, 2) physical points
     weights: np.ndarray    # (nc * nq,) rule weight times det J
     values: sp.csr_matrix  # (nc * nq, n_dofs) or (2 * nc * nq, n_dofs)
@@ -137,16 +137,16 @@ def _cell_operator(tables, cell_dofs, n_dofs):
                          shape=(len(data), n_dofs))
 
 
-def evaluation(space, rule=None):
-    """The space's Evaluation tables for a tensor rule, built once per rule.
+def evaluation(space, order=None):
+    """The space's tables under the order x order Gauss rule, cached by order.
 
-    The default rule has p + 3 points per direction.
+    The one place that picks the spatial rule: the default order p + 3
+    serves the matrices, loads, projections and error norms.
     """
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
-    key = (rule.points.tobytes(), rule.weights.tobytes())
-    if key in space.evaluations:
-        return space.evaluations[key]
+    order = space.p + 3 if order is None else order
+    if order in space.evaluations:
+        return space.evaluations[order]
+    rule = tensor_unit(order)
     geometry = cell_geometry(space.mesh, rule)
     phys, _, det = geometry
     dofs, n = space.cell_dofs, space.n_dofs
@@ -159,10 +159,10 @@ def evaluation(space, rule=None):
         values = _cell_operator(np.broadcast_to(phi, det.shape + phi.shape[1:]),
                                 dofs, n)
         divs = None
-    ev = Evaluation(points=phys.reshape(-1, 2),
+    ev = Evaluation(rule=rule, points=phys.reshape(-1, 2),
                     weights=(rule.weights[None, :] * det).ravel(),
                     values=values, divs=divs)
-    space.evaluations[key] = ev
+    space.evaluations[order] = ev
     return ev
 
 
@@ -182,15 +182,15 @@ def _scatter(local, rows, cols, shape):
     return mat
 
 
-def assemble_mass_scalar(space, rule=None):
+def assemble_mass_scalar(space):
     """Scalar mass matrix <w_j, w_i>; block diagonal over cells."""
-    ev = evaluation(space, rule)
+    ev = evaluation(space)
     return _galerkin(ev, sp.diags(ev.weights))
 
 
-def assemble_weighted_mass_flux(space, coefficient, rule=None):
+def assemble_weighted_mass_flux(space, coefficient):
     """Weighted flux mass matrix <D^{-1} v_j, v_i>."""
-    ev = evaluation(space, rule)
+    ev = evaluation(space)
     npts = len(ev.weights)
     blocks = ev.weights[:, None, None] * coefficient.inverse_at(ev.points)
     weight = sp.bsr_matrix((blocks, np.arange(npts), np.arange(npts + 1)),
@@ -198,16 +198,16 @@ def assemble_weighted_mass_flux(space, coefficient, rule=None):
     return _galerkin(ev, weight)
 
 
-def assemble_div_coupling(flux_space, scalar_space, rule=None):
+def assemble_div_coupling(flux_space, scalar_space):
     """Divergence coupling B[i, j] = <div v_j, w_i> (scalar rows, flux columns).
 
     The det J factors cancel against the measure, so the local block is one
-    reference integral shared by every cell, modulo orientation signs.
+    reference integral shared by every cell, modulo orientation signs; it
+    needs no `evaluation` tables, only a reference rule.
     """
     if flux_space.mesh is not scalar_space.mesh:
         raise ValueError("flux and scalar spaces must share one mesh")
-    if rule is None:
-        rule = tensor_unit(max(flux_space.p, scalar_space.p) + 3)
+    rule = tensor_unit(max(flux_space.p, scalar_space.p) + 3)
     phi = scalar_space.ref.tabulate(rule.points)
     ref_divs = flux_space.ref.tabulate_div(rule.points)
     base = np.einsum("q,qi,qj->ij", rule.weights, phi, ref_divs)
@@ -229,15 +229,15 @@ def sample_in_time(f, points, times, vector=False):
     return values
 
 
-def assemble_load(space, f, times, rule=None):
+def assemble_load(space, f, times):
     """Load vectors <f(., t), w_i>, one column per time t in `times`."""
-    ev = evaluation(space, rule)
+    ev = evaluation(space)
     return ev.values.T @ (sample_in_time(f, ev.points, times) * ev.weights).T
 
 
-def assemble_flux_moments(space, g, rule=None):
+def assemble_flux_moments(space, g):
     """Vector of <g, v_i> for a vector-valued g; RHS of an L2 flux projection."""
-    ev = evaluation(space, rule)
+    ev = evaluation(space)
     return ev.values.T @ (ev.weights[:, None] * g(ev.points)).ravel()
 
 

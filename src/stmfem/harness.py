@@ -8,6 +8,7 @@ together with their experimental orders.
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -37,6 +38,12 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for name in ("r", "p", "level_min", "level_max", "n_steps_base", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.level_min <= self.level_max <= meshmod.MAX_LEVEL:
             raise ValueError(
                 f"need 0 <= level_min <= level_max <= {meshmod.MAX_LEVEL}")

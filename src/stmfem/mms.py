@@ -25,7 +25,7 @@ import numpy as np
 from .assembly import cell_geometry, piola_values  # noqa: F401
 from .assembly import evaluation, sample_in_time
 from .exceptions import UnsupportedConfigurationError
-from .quadrature import gauss_legendre_unit, tensor_unit
+from .quadrature import gauss_legendre_unit
 
 DEFAULT_OMEGA = 10.0 * math.pi
 
@@ -34,7 +34,6 @@ DEFAULT_OMEGA = 10.0 * math.pi
 class ManufacturedSolution:
     """Exact solution bundle: scalar, flux, source, and flux divergence."""
 
-    omega: float
     scalar: object      # u(x, t):      (n, 2), (nt,) -> (nt, n)
     flux: object        # q(x, t):      (n, 2), (nt,) -> (nt, n, 2)
     source: object      # f(x, t):      (n, 2), (nt,) -> (nt, n)
@@ -82,8 +81,8 @@ def mms_standard(coefficient, omega=DEFAULT_OMEGA):
     def div_flux(x, t):
         return np.outer(2.0 * pi**2 * d * np.sin(omega * t), spatial(x))
 
-    return ManufacturedSolution(omega=omega, scalar=scalar, flux=flux,
-                                source=source, div_flux=div_flux)
+    return ManufacturedSolution(scalar=scalar, flux=flux, source=source,
+                                div_flux=div_flux)
 
 
 def _space_time_error(solution, space, stacks, exact_fields, time_order,
@@ -93,7 +92,7 @@ def _space_time_error(solution, space, stacks, exact_fields, time_order,
     exact_fields pair, in order, with the space's value and divergence
     operators from assembly.evaluation; each is evaluated once per interval.
     """
-    ev = evaluation(space, tensor_unit(space_order or (space.p + 3)))
+    ev = evaluation(space, space_order)
     trule = gauss_legendre_unit(time_order or (solution.basis.r + 3))
     basis_vals = solution.basis.eval_trial_all(trule.points)  # (nt, r+1)
     part = solution.partition

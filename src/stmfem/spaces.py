@@ -24,7 +24,7 @@ from .basis1d import (
 )
 from .exceptions import InvalidMeshError
 from .mesh import validity_check
-from .quadrature import gauss_legendre_unit, tensor_unit
+from .quadrature import gauss_legendre_unit, tensor, tensor_unit
 
 MAX_DEGREE = 4
 
@@ -165,7 +165,7 @@ class ScalarSpace:
     ref: ScalarReference
     n_dofs: int
     cell_dofs: np.ndarray  # (nc, (p+1)^2)
-    # assembly.evaluation's tables, one entry per quadrature rule
+    # assembly.evaluation's tables, keyed by rule order
     evaluations: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -181,7 +181,7 @@ class FluxSpace:
     n_edge_dofs: int       # global count of edge-moment DoFs
     cell_dofs: np.ndarray  # (nc, n_local)
     cell_signs: np.ndarray  # (nc, n_local), +-1
-    # assembly.evaluation's tables, one entry per quadrature rule
+    # assembly.evaluation's tables, keyed by rule order
     evaluations: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -272,16 +272,14 @@ def eval_div_flux(f, cell, xhat):
     return (ref_divs @ local) / det
 
 
-def l2_project_scalar(g, space, rule=None):
+def l2_project_scalar(g, space):
     """L2 projection onto the scalar space; cell-by-cell Gram solves."""
     if not isinstance(space, ScalarSpace):
         raise TypeError("l2_project_scalar needs a scalar space")
     from . import assembly  # local import to stay cycle free
 
-    if rule is None:
-        rule = tensor_unit(space.p + 3)
-    ev = assembly.evaluation(space, rule)
-    phi = space.ref.tabulate(rule.points)
+    ev = assembly.evaluation(space)
+    phi = space.ref.tabulate(ev.rule.points)
     wdet = ev.weights.reshape(space.mesh.n_cells, -1)
     gram = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
     rhs = ev.values.T @ (ev.weights * g(ev.points))
@@ -291,7 +289,7 @@ def l2_project_scalar(g, space, rule=None):
     return FeFunction(space=space, coefficients=coef)
 
 
-def l2_project_flux(g, space, rule=None):
+def l2_project_flux(g, space):
     """L2 projection onto the flux space; one global mass solve."""
     if not isinstance(space, FluxSpace):
         raise TypeError("l2_project_flux needs a flux space")
@@ -299,28 +297,27 @@ def l2_project_flux(g, space, rule=None):
     from scipy.sparse.linalg import spsolve
 
     mass = assembly.assemble_weighted_mass_flux(
-        space, assembly.CoefficientField.identity(), rule)
-    rhs = assembly.assemble_flux_moments(space, g, rule)
+        space, assembly.CoefficientField.identity())
+    rhs = assembly.assemble_flux_moments(space, g)
     coef = spsolve(mass.tocsc(), rhs)
     return FeFunction(space=space, coefficients=coef)
 
 
-def rt_interpolate(g, space, rule_1d=None, rule_2d=None):
+def rt_interpolate(g, space, order=None):
     """Canonical Raviart-Thomas interpolant from edge and interior moments.
 
     Edge moments integrate g . n against shifted Legendre weights along each
     edge (arclength measure); interior moments are taken on the reference
     cell after the inverse Piola pullback, which is exactly what makes the
     divergence of the interpolation error orthogonal to the scalar space.
+    Both use `order` Gauss points per direction (p + 3 by default).
     """
     if not isinstance(space, FluxSpace):
         raise TypeError("rt_interpolate needs a flux space")
     mesh = space.mesh
     p = space.p
-    if rule_1d is None:
-        rule_1d = gauss_legendre_unit(p + 3)
-    if rule_2d is None:
-        rule_2d = tensor_unit(p + 3)
+    rule_1d = gauss_legendre_unit(p + 3 if order is None else order)
+    rule_2d = tensor(rule_1d, rule_1d)
     coef = np.empty(space.n_dofs)
     start, end, normal = mesh.edge_frames()
     pts = start[:, None, :] + rule_1d.points[:, None] * (end - start)[:, None, :]

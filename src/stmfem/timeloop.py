@@ -23,7 +23,6 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .exceptions import SolverFailureError
-from .quadrature import tensor_unit
 from .spaces import build_pair, l2_project_flux, l2_project_scalar
 from .timebasis import TimePartition, build_basis
 
@@ -62,19 +61,19 @@ class ProblemData:
 
 
 class SystemMatrices:
-    """The three time-independent matrices plus the current interval operator."""
+    """The three time-independent matrices plus the current interval operator.
 
-    def __init__(self, scalar_space, flux_space, coefficient, rule=None):
-        if rule is None:
-            rule = tensor_unit(max(scalar_space.p, flux_space.p) + 3)
+    M_W and M_D use the `assembly.evaluation` tables the loads and initial
+    projections read; a coefficient that is not finite and SPD there raises.
+    """
+
+    def __init__(self, scalar_space, flux_space, coefficient):
         self.scalar_space = scalar_space
         self.flux_space = flux_space
-        self.coefficient = coefficient
-        self.rule = rule
-        self.mass_scalar = assembly.assemble_mass_scalar(scalar_space, rule)
+        self.mass_scalar = assembly.assemble_mass_scalar(scalar_space)
         self.mass_flux = assembly.assemble_weighted_mass_flux(
-            flux_space, coefficient, rule)
-        self.div = assembly.assemble_div_coupling(flux_space, scalar_space, rule)
+            flux_space, coefficient)
+        self.div = assembly.assemble_div_coupling(flux_space, scalar_space)
         self._operator = None
 
     @property
@@ -197,10 +196,10 @@ class StepSystem:
         return self.operator.matrix
 
 
-def initial_coefficients(data, scalar_space, flux_space, rule=None):
+def initial_coefficients(data, scalar_space, flux_space):
     """Project the initial datum: (P_h u0, vec P_h(-D grad u0))."""
-    u = l2_project_scalar(data.initial_scalar, scalar_space, rule)
-    q = l2_project_flux(data.flux_at_t0(), flux_space, rule)
+    u = l2_project_scalar(data.initial_scalar, scalar_space)
+    q = l2_project_flux(data.flux_at_t0(), flux_space)
     return u.coefficients, q.coefficients
 
 
@@ -209,7 +208,7 @@ def build_step_system(interval, basis, matrices, data, u_start, partition):
     tau = partition.step_size(interval)
     gauss_times = partition.nodes[interval] + tau * basis.test_nodes
     loads = assembly.assemble_load(matrices.scalar_space, data.source,
-                                   gauss_times, matrices.rule)  # (nw, r)
+                                   gauss_times)  # (nw, r)
     mwu = matrices.mass_scalar @ u_start
     rhs_u = (tau * basis.beta * loads).T - basis.alpha[:, :1] * mwu
     rhs = np.concatenate([rhs_u.ravel(), np.zeros(basis.r * matrices.n_flux)])
@@ -390,15 +389,14 @@ def load_checkpoint(path):
     return stack(scalars), stack(fluxes)
 
 
-def run(data, mesh, p, r, n_steps, solver="direct", tol=DEFAULT_TOL,
-        rule=None):
+def run(data, mesh, p, r, n_steps, solver="direct", tol=DEFAULT_TOL):
     """March the scheme over a uniform partition of (0, T] with N intervals."""
     partition = TimePartition.uniform(data.final_time, n_steps)
     basis = build_basis(r)
     scalar_space, flux_space = build_pair(mesh, p)
-    matrices = SystemMatrices(scalar_space, flux_space, data.diffusion, rule)
+    matrices = SystemMatrices(scalar_space, flux_space, data.diffusion)
     solution = SpaceTimeSolution(partition, basis, scalar_space, flux_space)
-    u0, q0 = initial_coefficients(data, scalar_space, flux_space, matrices.rule)
+    u0, q0 = initial_coefficients(data, scalar_space, flux_space)
     for n in range(n_steps):
         system = build_step_system(n, basis, matrices, data, u0, partition)
         U, Q = solve_step(system, tol=tol, strategy=solver)
@@ -423,8 +421,7 @@ def local_mass_balance(solution, data, matrices):
     for n in range(solution.n_intervals):
         tau = part.step_size(n)
         load = assembly.assemble_load(matrices.scalar_space, data.source,
-                                      part.nodes[n] + tau * basis.test_nodes,
-                                      matrices.rule)
+                                      part.nodes[n] + tau * basis.test_nodes)
         # per-cell sums, one column per Gauss index i
         mwu = (matrices.mass_scalar @ solution.scalar_coeffs[n].T)[cell_dofs]
         acc = mwu.sum(axis=1) @ basis.alpha.T

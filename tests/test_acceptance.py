@@ -15,7 +15,7 @@ import stmfem as st
 from stmfem.assembly import CoefficientField
 from stmfem.harness import ExperimentConfig, run_convergence
 from stmfem.mesh import unit_square_mesh
-from stmfem.quadrature import gauss_legendre_unit, tensor_unit
+from stmfem.quadrature import tensor_unit
 from stmfem.spaces import build_pair, l2_project_flux, l2_project_scalar, rt_interpolate
 from stmfem.timebasis import TimePartition, build_basis
 from stmfem.timeloop import (
@@ -217,9 +217,7 @@ def test_criterion_6_projection_orders():
                 # the identity is exact for the canonical interpolant; check
                 # it with converged moment quadrature so only the property,
                 # not the default rule's integration error, is measured
-                interp_fine = rt_interpolate(
-                    gv, flux, rule_1d=gauss_legendre_unit(p + 6),
-                    rule_2d=tensor_unit(p + 6))
+                interp_fine = rt_interpolate(gv, flux, order=p + 6)
                 B = asm.assemble_div_coupling(flux, scalar)
                 lhs = B @ interp_fine.coefficients
                 crule = tensor_unit(p + 5)
@@ -284,8 +282,7 @@ def _poly_problem():
         return (np.outer(2 * t, x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]))
                 + div_q(x, t))
 
-    exact = st.ManufacturedSolution(omega=0.0, scalar=u, flux=q, source=f,
-                                    div_flux=div_q)
+    exact = st.ManufacturedSolution(scalar=u, flux=q, source=f, div_flux=div_q)
     data = ProblemData(diffusion=CoefficientField.identity(),
                        initial_scalar=lambda x: u(x, np.zeros(1))[0], source=f,
                        final_time=1.0)
@@ -327,7 +324,7 @@ def test_criterion_9_solver_equivalence(mms_problem):
     s2, v2 = build_pair(mesh2, 2)
     m2 = SystemMatrices(s2, v2, data.diffusion)
     part2 = TimePartition.uniform(1.0, 40)
-    u0, _ = initial_coefficients(data, s2, v2, m2.rule)
+    u0, _ = initial_coefficients(data, s2, v2)
     system2 = build_step_system(0, basis, m2, data, u0, part2)
     Ud, Qd = solve_step(system2, strategy="direct")
     Us, Qs = solve_step(system2, strategy="schur")
@@ -338,7 +335,7 @@ def test_criterion_9_solver_equivalence(mms_problem):
     s1, v1 = build_pair(mesh1, 2)
     m1 = SystemMatrices(s1, v1, data.diffusion)
     part1 = TimePartition.uniform(1.0, 20)
-    u01, _ = initial_coefficients(data, s1, v1, m1.rule)
+    u01, _ = initial_coefficients(data, s1, v1)
     system1 = build_step_system(0, basis, m1, data, u01, part1)
     U, Q = solve_step(system1, strategy="direct")
     dense = np.linalg.solve(system1.full_matrix().toarray(), system1.rhs)

@@ -11,7 +11,6 @@ from stmfem.mesh import (
     unit_square_mesh,
     validity_check,
 )
-from stmfem.quadrature import tensor_unit
 
 
 @pytest.mark.parametrize("level,cells,hmax", [
@@ -108,10 +107,9 @@ class TestDistort:
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_validity_sweep_quarter_factor(self, level):
         m = unit_square_mesh(level)
-        rule = tensor_unit(3)
         for seed in range(100):
             d = distort(m, 0.25, seed)  # raises if invalid
-            assert validity_check(d, rule).ok
+            assert validity_check(d).ok
 
     @pytest.mark.parametrize("level", [2, 4])
     @pytest.mark.parametrize("seed", [3, 2024])

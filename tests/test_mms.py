@@ -86,7 +86,6 @@ class TestErrorNorms:
                            final_time=1.0)
         sol = run(data, st.unit_square_mesh(1), p=1, r=1, n_steps=2)
         zero = st.ManufacturedSolution(
-            omega=0.0,
             scalar=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
             flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)), 2)),
             source=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
@@ -108,7 +107,6 @@ class TestErrorNorms:
             sol.append_interval(np.ones((2, scalar.n_dofs)),
                                 np.zeros((2, flux.n_dofs)))
         zero = st.ManufacturedSolution(
-            omega=0.0,
             scalar=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
             flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)), 2)),
             source=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),

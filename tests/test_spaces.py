@@ -266,9 +266,8 @@ class TestScalarProjection:
         g = lambda x: np.sin(np.pi * np.atleast_2d(x)[:, 0]) * \
             np.sin(np.pi * np.atleast_2d(x)[:, 1])
         proj = l2_project_scalar(g, scalar)
-        rule = tensor_unit(5)
-        mass = assembly.assemble_mass_scalar(scalar, rule)
-        moments = _scalar_moments(scalar, g, rule)
+        mass = assembly.assemble_mass_scalar(scalar)
+        moments = _scalar_moments(scalar, g, assembly.evaluation(scalar).rule)
         residual = mass @ proj.coefficients - moments
         assert np.max(np.abs(residual)) < 1e-12
 
@@ -278,9 +277,8 @@ class TestScalarProjection:
         scalar, _ = build_pair(m, 1)
         g = lambda x: np.exp(np.atleast_2d(x)[:, 0]) * np.atleast_2d(x)[:, 1]
         proj = l2_project_scalar(g, scalar)
-        rule = tensor_unit(6)
-        moments = _scalar_moments(scalar, g, rule)
-        mass = assembly.assemble_mass_scalar(scalar, rule)
+        moments = _scalar_moments(scalar, g, assembly.evaluation(scalar).rule)
+        mass = assembly.assemble_mass_scalar(scalar)
         gdotp = float(np.dot(moments, proj.coefficients))
         pdotp = float(proj.coefficients @ (mass @ proj.coefficients))
         assert abs(gdotp - pdotp) < 1e-11
@@ -316,11 +314,10 @@ class TestFluxProjection:
         g = lambda x: np.column_stack([
             np.sin(np.pi * np.atleast_2d(x)[:, 0]),
             np.cos(np.pi * np.atleast_2d(x)[:, 1])])
-        rule = tensor_unit(6)
-        proj = l2_project_flux(g, flux, rule)
+        proj = l2_project_flux(g, flux)
         mass = assembly.assemble_weighted_mass_flux(
-            flux, assembly.CoefficientField.identity(), rule)
-        rhs = assembly.assemble_flux_moments(flux, g, rule)
+            flux, assembly.CoefficientField.identity())
+        rhs = assembly.assemble_flux_moments(flux, g)
         residual = mass @ proj.coefficients - rhs
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(residual)) / scale < 1e-10
@@ -363,12 +360,9 @@ class TestRTInterpolation:
             x = np.atleast_2d(x)
             return 2 * pi * np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]) + x[:, 0]
 
-        from stmfem.quadrature import gauss_legendre_unit
         for p in (1, 2):
             scalar, flux = build_pair(m, p)
-            interp = rt_interpolate(g, flux,
-                                    rule_1d=gauss_legendre_unit(p + 6),
-                                    rule_2d=tensor_unit(p + 6))
+            interp = rt_interpolate(g, flux, order=p + 6)
             B = assembly.assemble_div_coupling(flux, scalar)
             lhs = B @ interp.coefficients
             rule = tensor_unit(p + 5)

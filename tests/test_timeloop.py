@@ -64,8 +64,7 @@ def poly_problem():
         return (np.outer(2 * t, x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]))
                 + div_q(x, t))
 
-    exact = st.ManufacturedSolution(omega=0.0, scalar=u, flux=q,
-                                    source=f, div_flux=div_q)
+    exact = st.ManufacturedSolution(scalar=u, flux=q, source=f, div_flux=div_q)
     data = ProblemData(diffusion=CoefficientField.identity(),
                        initial_scalar=lambda x: u(x, np.zeros(1))[0], source=f,
                        final_time=1.0)
@@ -492,8 +491,8 @@ class TestRun:
         basis, nodes = sol.basis, sol.partition.nodes
         taus = np.diff(nodes)
         times = (nodes[:-1, None] + taus[:, None] * basis.test_nodes).ravel()
-        loads = assemble_load(sol.scalar_space, data.source, times,
-                              m.rule).T.reshape(len(taus), r, -1)
+        loads = assemble_load(sol.scalar_space, data.source,
+                              times).T.reshape(len(taus), r, -1)
         for tau, U, Q, F in zip(taus, sol.scalar_coeffs, sol.flux_coeffs, loads):
             end = endpoint_value(basis, U)
             energy = [0.5 * end @ (m.mass_scalar @ end),
