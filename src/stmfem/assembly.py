@@ -9,10 +9,11 @@ Three time-independent matrices drive the whole run:
 All integrals use tensor Gauss rules; on bilinear cell maps the integrands
 of M_W and M_D are rational, so the rule order is chosen one notch above
 polynomial exactness: (p+3) points per direction.  `evaluation` is the one
-place that picks that rule; M_W, M_D, the loads, the projections and the
+place that picks that rule; M_W, M_D, B, the loads, the projections and the
 error norms read one set of tables per space and order, built on first use
-and kept on the space.  The det J factors cancel in B, which therefore only
-sees reference quantities and the edge-orientation signs.
+and kept on the space.  Each matrix is a Galerkin product L^T K R of two
+tables and a pointwise weight; in B = E^T diag(w) D the det J of the
+weights cancels the 1/det J of the flux divergences D.
 """
 
 from dataclasses import dataclass
@@ -27,18 +28,11 @@ from .spaces import FluxSpace
 
 
 class CoefficientField:
-    """Symmetric positive definite diffusion tensor D(x) with ellipticity bounds."""
+    """Symmetric positive definite diffusion tensor D(x)."""
 
-    def __init__(self, matrix, d_min, d_max, isotropic_value=None):
+    def __init__(self, matrix, isotropic_value=None):
         self.matrix = matrix          # callable: (n, 2) points -> (n, 2, 2)
-        self.d_min = float(d_min)
-        self.d_max = float(d_max)
         self.isotropic_value = isotropic_value
-        if not 0.0 < self.d_min <= self.d_max < np.inf:  # NaN fails too
-            raise InvalidCoefficientError(
-                f"ellipticity bounds must satisfy 0 < d_min <= d_max < inf, "
-                f"got ({d_min}, {d_max})"
-            )
 
     @classmethod
     def identity(cls):
@@ -46,6 +40,10 @@ class CoefficientField:
 
     @classmethod
     def isotropic(cls, d):
+        if not 0.0 < d < np.inf:  # NaN fails too
+            raise InvalidCoefficientError(
+                f"isotropic diffusion must satisfy 0 < d < inf, got {d}")
+
         def matrix(x):
             x = np.atleast_2d(x)
             out = np.zeros((len(x), 2, 2))
@@ -53,7 +51,7 @@ class CoefficientField:
             out[:, 1, 1] = d
             return out
 
-        return cls(matrix, d_min=d, d_max=d, isotropic_value=float(d))
+        return cls(matrix, isotropic_value=float(d))
 
     def inverse_at(self, points):
         """D(x)^{-1} at points, validating finiteness, symmetry and positivity."""
@@ -166,26 +164,15 @@ def evaluation(space, order=None):
     return ev
 
 
-def _galerkin(ev, weight):
-    """The matrix E^T K E of a space's values operator E and a point weight K."""
-    return (ev.values.T @ (weight @ ev.values)).tocsr()
-
-
-def _scatter(local, rows, cols, shape):
-    """Accumulate per-cell local matrices (nc, ni, nj) into a global CSR."""
-    nc, ni, nj = local.shape
-    r = np.repeat(rows[:, :, None], nj, axis=2).ravel()
-    c = np.repeat(cols[:, None, :], ni, axis=1).ravel()
-    mat = sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
+def _galerkin(left, weight, right):
+    """The matrix L^T K R of two tables L, R and a point weight K."""
+    return (left.T @ (weight @ right)).tocsr()
 
 
 def assemble_mass_scalar(space):
     """Scalar mass matrix <w_j, w_i>; block diagonal over cells."""
     ev = evaluation(space)
-    return _galerkin(ev, sp.diags(ev.weights))
+    return _galerkin(ev.values, sp.diags(ev.weights), ev.values)
 
 
 def assemble_weighted_mass_flux(space, coefficient):
@@ -195,25 +182,22 @@ def assemble_weighted_mass_flux(space, coefficient):
     blocks = ev.weights[:, None, None] * coefficient.inverse_at(ev.points)
     weight = sp.bsr_matrix((blocks, np.arange(npts), np.arange(npts + 1)),
                            shape=(2 * npts, 2 * npts))
-    return _galerkin(ev, weight)
+    return _galerkin(ev.values, weight, ev.values)
 
 
 def assemble_div_coupling(flux_space, scalar_space):
     """Divergence coupling B[i, j] = <div v_j, w_i> (scalar rows, flux columns).
 
-    The det J factors cancel against the measure, so the local block is one
-    reference integral shared by every cell, modulo orientation signs; it
-    needs no `evaluation` tables, only a reference rule.
+    Reads the scalar values and flux divergences of the two spaces'
+    `evaluation` tables, which share points and weights when the spaces
+    share a mesh and a degree; anything else raises ValueError.
     """
-    if flux_space.mesh is not scalar_space.mesh:
-        raise ValueError("flux and scalar spaces must share one mesh")
-    rule = tensor_unit(max(flux_space.p, scalar_space.p) + 3)
-    phi = scalar_space.ref.tabulate(rule.points)
-    ref_divs = flux_space.ref.tabulate_div(rule.points)
-    base = np.einsum("q,qi,qj->ij", rule.weights, phi, ref_divs)
-    local = base[None, :, :] * flux_space.cell_signs[:, None, :]
-    shape = (scalar_space.n_dofs, flux_space.n_dofs)
-    return _scatter(local, scalar_space.cell_dofs, flux_space.cell_dofs, shape)
+    if (flux_space.mesh is not scalar_space.mesh
+            or flux_space.p != scalar_space.p):
+        raise ValueError("flux and scalar spaces must share a mesh and degree")
+    scalar = evaluation(scalar_space)
+    return _galerkin(scalar.values, sp.diags(scalar.weights),
+                     evaluation(flux_space).divs)
 
 
 def sample_in_time(f, points, times, vector=False):

@@ -24,7 +24,7 @@ from .basis1d import (
 )
 from .exceptions import InvalidMeshError
 from .mesh import validity_check
-from .quadrature import gauss_legendre_unit, tensor, tensor_unit
+from .quadrature import gauss_legendre_unit, tensor
 
 MAX_DEGREE = 4
 
@@ -117,35 +117,36 @@ class RTReference:
         b = _REF_EDGE_END[edge]
         return a[None, :] + s[:, None] * (b - a)[None, :]
 
-    def _vandermonde(self):
+    def dof_weights(self, rule_1d):
+        """The degrees of freedom as weights under a 1-D Gauss rule on [0, 1].
+
+        Returns (edge, interior).  Column k of edge (nq, p+1) weighs the
+        normal component at the rule's points along an edge parametrized
+        over [0, 1] to give moment k.  Row i of interior (2p(p+1), nq^2, 2)
+        weighs the field at the points of tensor(rule_1d, rule_1d) to give
+        interior DoF i: x-component moments first, then y-component.
+        """
         p = self.p
-        V = np.empty((self.n_local, self.n_local))
-        erule = gauss_legendre_unit(p + 2)
-        leg = shifted_legendre(p, erule.points)
-        row = 0
-        for edge in range(4):
-            pts = self.edge_points(edge, erule.points)
-            vals = self._span_values(pts) @ _REF_EDGE_NORMAL[edge]
-            for k in range(p + 1):
-                V[row] = np.einsum("q,qm->m", erule.weights * leg[:, k], vals)
-                row += 1
-        if self.n_interior_dofs:
-            irule = tensor_unit(p + 2)
-            vals = self._span_values(irule.points)
-            lx = shifted_legendre(p, irule.points[:, 0])
-            ly = shifted_legendre(p, irule.points[:, 1])
-            for a in range(p):
-                for b in range(p + 1):
-                    w = irule.weights * lx[:, a] * ly[:, b]
-                    V[row] = np.einsum("q,qm->m", w, vals[:, :, 0])
-                    row += 1
-            for a in range(p + 1):
-                for b in range(p):
-                    w = irule.weights * lx[:, a] * ly[:, b]
-                    V[row] = np.einsum("q,qm->m", w, vals[:, :, 1])
-                    row += 1
-        assert row == self.n_local
-        return V
+        edge = rule_1d.weights[:, None] * shifted_legendre(p, rule_1d.points)
+        rule_2d = tensor(rule_1d, rule_1d)
+        lx = shifted_legendre(p, rule_2d.points[:, 0])
+        ly = shifted_legendre(p, rule_2d.points[:, 1])
+        w = rule_2d.weights[:, None, None] * lx[:, :, None] * ly[:, None, :]
+        interior = np.zeros((self.n_interior_dofs, len(w), 2))
+        interior[:p * (p + 1), :, 0] = w[:, :p, :].reshape(len(w), -1).T
+        interior[p * (p + 1):, :, 1] = w[:, :, :p].reshape(len(w), -1).T
+        return edge, interior
+
+    def _vandermonde(self):
+        """The degrees of freedom applied to the spanning set."""
+        rule = gauss_legendre_unit(self.p + 2)
+        edge, interior = self.dof_weights(rule)
+        rows = [np.einsum("qk,qm->km", edge,
+                          self._span_values(self.edge_points(e, rule.points))
+                          @ _REF_EDGE_NORMAL[e]) for e in range(4)]
+        span = self._span_values(tensor(rule, rule).points)
+        rows.append(np.einsum("iqd,qmd->im", interior, span))
+        return np.vstack(rows)
 
     def tabulate(self, points):
         """Nodal basis values at reference points, shape (npts, n_local, 2)."""
@@ -315,36 +316,23 @@ def rt_interpolate(g, space, order=None):
     if not isinstance(space, FluxSpace):
         raise TypeError("rt_interpolate needs a flux space")
     mesh = space.mesh
-    p = space.p
-    rule_1d = gauss_legendre_unit(p + 3 if order is None else order)
-    rule_2d = tensor(rule_1d, rule_1d)
+    rule_1d = gauss_legendre_unit(space.p + 3 if order is None else order)
+    edge_w, interior_w = space.ref.dof_weights(rule_1d)
     coef = np.empty(space.n_dofs)
     start, end, normal = mesh.edge_frames()
     pts = start[:, None, :] + rule_1d.points[:, None] * (end - start)[:, None, :]
     gn = np.einsum("eqd,ed->eq", g(pts.reshape(-1, 2)).reshape(pts.shape), normal)
     length = np.linalg.norm(end - start, axis=1)
-    leg = shifted_legendre(p, rule_1d.points)
-    moments = length[:, None] * (gn @ (rule_1d.weights[:, None] * leg))
-    coef[:space.n_edge_dofs] = moments.ravel()
-    nint = space.ref.n_interior_dofs
-    if nint:
+    coef[:space.n_edge_dofs] = (length[:, None] * (gn @ edge_w)).ravel()
+    if space.ref.n_interior_dofs:
         from .assembly import cell_geometry
 
-        phys, J, det = cell_geometry(mesh, rule_2d)
+        phys, J, _ = cell_geometry(mesh, tensor(rule_1d, rule_1d))
         gv = g(phys.reshape(-1, 2)).reshape(phys.shape)
         # inverse Piola: det J * J^{-1} g
         ghat = np.empty_like(gv)
         ghat[..., 0] = J[..., 1, 1] * gv[..., 0] - J[..., 0, 1] * gv[..., 1]
         ghat[..., 1] = -J[..., 1, 0] * gv[..., 0] + J[..., 0, 0] * gv[..., 1]
-        lx = shifted_legendre(p, rule_2d.points[:, 0])
-        ly = shifted_legendre(p, rule_2d.points[:, 1])
-        # moment weights in the same order the reference element numbers
-        # its interior DoFs: x-component block first, then y-component
-        wx = np.array([rule_2d.weights * lx[:, a] * ly[:, b]
-                       for a in range(p) for b in range(p + 1)])
-        wy = np.array([rule_2d.weights * lx[:, a] * ly[:, b]
-                       for a in range(p + 1) for b in range(p)])
-        mom_x = np.einsum("mq,cq->cm", wx, ghat[..., 0])
-        mom_y = np.einsum("mq,cq->cm", wy, ghat[..., 1])
-        coef[space.n_edge_dofs:] = np.concatenate([mom_x, mom_y], axis=1).ravel()
+        coef[space.n_edge_dofs:] = np.einsum("iqd,cqd->ci", interior_w,
+                                             ghat).ravel()
     return FeFunction(space=space, coefficients=coef)

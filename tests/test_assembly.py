@@ -149,24 +149,22 @@ def test_div_coupling_total_flux(level1_pair):
     assert abs(total - boundary) < 1e-12
 
 
-def test_div_coupling_entry_oracle(level1_pair, rng):
-    m, (scalar, flux) = level1_pair
-    rule = tensor_unit(5)
-    B = assemble_div_coupling(flux, scalar).tocoo()
-    _, divs, (_, _, det) = piola_values(flux, rule)
-    phi = scalar.ref.tabulate(rule.points)
-    wdet = rule.weights[None, :] * det
-    idx = rng.choice(B.nnz, size=10, replace=False)
-    for t in idx:
-        i, j = int(B.row[t]), int(B.col[t])
-        oracle = 0.0
-        for k in range(m.n_cells):
-            sdofs = list(scalar.cell_dofs[k])
-            fdofs = list(flux.cell_dofs[k])
-            if i in sdofs and j in fdofs:
-                li, lj = sdofs.index(i), fdofs.index(j)
-                oracle += float(np.sum(wdet[k] * divs[k, :, lj] * phi[:, li]))
-        assert abs(B.data[t] - oracle) < 1e-12 * max(1.0, abs(oracle))
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_div_coupling_entry_oracle(p):
+    # det J cancels in <div v_j, w_i>: each cell's block is the reference
+    # integral sum_q w_q phi_i(q) div v_j(q) times the cell's DoF signs
+    m = distort(unit_square_mesh(1), 0.2, level_seed(11, 1))
+    scalar, flux = build_pair(m, p)
+    B = assemble_div_coupling(flux, scalar).toarray()
+    rule = tensor_unit(p + 3)
+    base = np.einsum("q,qi,qj->ij", rule.weights,
+                     scalar.ref.tabulate(rule.points),
+                     flux.ref.tabulate_div(rule.points))
+    oracle = np.zeros_like(B)
+    for k in range(m.n_cells):
+        oracle[np.ix_(scalar.cell_dofs[k], flux.cell_dofs[k])] += (
+            base * flux.cell_signs[k])
+    assert np.max(np.abs(B - oracle)) <= 1e-13 * np.max(np.abs(B))
 
 
 def test_mesh_mismatch_rejected():
@@ -174,6 +172,14 @@ def test_mesh_mismatch_rejected():
     _, f1 = build_pair(unit_square_mesh(2), 1)
     with pytest.raises(ValueError):
         assemble_div_coupling(f1, s0)
+
+
+def test_degree_mismatch_rejected():
+    m = unit_square_mesh(1)
+    s1, _ = build_pair(m, 1)
+    _, f2 = build_pair(m, 2)
+    with pytest.raises(ValueError):
+        assemble_div_coupling(f2, s1)
 
 
 class TestLoad:
@@ -249,7 +255,7 @@ class TestCoefficientField:
             out[:, 1, 1] = 1.0
             return out
 
-        D = CoefficientField(bad, d_min=0.5, d_max=2.0)
+        D = CoefficientField(bad)
         with pytest.raises(InvalidCoefficientError):
             D.inverse_at(np.array([[0.2, 0.2]]))
 
@@ -259,7 +265,7 @@ class TestCoefficientField:
             out = np.tile(np.array([[1.0, 0.5], [0.0, 1.0]]), (len(x), 1, 1))
             return out
 
-        D = CoefficientField(bad, d_min=0.5, d_max=2.0)
+        D = CoefficientField(bad)
         with pytest.raises(InvalidCoefficientError):
             D.inverse_at(np.array([[0.2, 0.2]]))
 
@@ -280,7 +286,7 @@ class TestCoefficientField:
             out[7] = np.nan
             return out
 
-        D = CoefficientField(nan_at_one_point, d_min=1.0, d_max=1.0)
+        D = CoefficientField(nan_at_one_point)
         scalar, flux = build_pair(unit_square_mesh(1), 1)
         with pytest.raises(InvalidCoefficientError):
             SystemMatrices(scalar, flux, D)

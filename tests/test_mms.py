@@ -66,7 +66,7 @@ class TestManufacturedSolution:
             out[:, 1, 1] = 1.0
             return out
 
-        field = CoefficientField(varying, d_min=1.0, d_max=2.0)
+        field = CoefficientField(varying)
         with pytest.raises(UnsupportedConfigurationError):
             mms_standard(field)
 

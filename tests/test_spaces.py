@@ -334,6 +334,29 @@ class TestRTInterpolation:
                             np.array([[1.0, 0.0]] * 2), atol=1e-13)
         assert np.array_equal(f.coefficients, again.coefficients)
 
+    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("mesh", [
+        unit_square_mesh(0),
+        distort(unit_square_mesh(1), 0.25, level_seed(7, 1))],
+        ids=["L0", "L1-distorted"])
+    def test_member_reproduced_every_degree(self, mesh, p):
+        # edge and interior moments of a member of RT_p give back its DoFs
+        _, flux = build_pair(mesh, p)
+        coef = np.random.default_rng(p).standard_normal(flux.n_dofs)
+        f = FeFunction(space=flux, coefficients=coef)
+
+        def g(x):
+            out = np.empty((len(x), 2))
+            for k in range(mesh.n_cells):
+                xhat = mesh.cell_map(k).inverse(x)
+                inside = np.all((xhat > -1e-9) & (xhat < 1 + 1e-9), axis=1)
+                out[inside] = eval_flux(f, k, xhat[inside])
+            return out
+
+        interp = rt_interpolate(g, flux)
+        assert (np.max(np.abs(interp.coefficients - coef))
+                <= 1e-12 * np.max(np.abs(coef)))
+
     def test_piecewise_constant_divergence(self):
         # g = (x1, x2) has divergence 2 everywhere
         m = unit_square_mesh(2)

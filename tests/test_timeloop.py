@@ -211,23 +211,26 @@ class TestStepSystem:
         with pytest.raises(ValueError):
             solve_step(system, strategy="magic")
 
-    def test_impossible_tolerance_raises(self, mms_problem):
+    def test_impossible_tolerance_raises(self, mms_problem, monkeypatch):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(3, self.basis, self.matrices, data, u0,
                                    self.partition)
+        monkeypatch.setattr(timeloop, "DEFAULT_TOL", 1e-30)
         with pytest.raises(SolverFailureError) as err:
-            solve_step(system, tol=1e-30, strategy="direct")
+            solve_step(system, strategy="direct")
         assert err.value.residual is not None
         assert (err.value.interval, err.value.stage) == (3, "direct")
 
-    def test_schur_residual_miss_names_interval_and_stage(self, mms_problem):
+    def test_schur_residual_miss_names_interval_and_stage(self, mms_problem,
+                                                          monkeypatch):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(3, self.basis, self.matrices, data, u0,
                                    self.partition)
+        monkeypatch.setattr(timeloop, "DEFAULT_TOL", 1e-30)
         with pytest.raises(SolverFailureError) as err:
-            solve_step(system, tol=1e-30, strategy="schur")
+            solve_step(system, strategy="schur")
         assert (err.value.interval, err.value.stage) == (3, "schur")
 
     def test_gmres_failure_names_interval_and_stage(self, mms_problem,
