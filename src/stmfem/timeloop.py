@@ -128,15 +128,36 @@ class IntervalOperator:
 
     @cached_property
     def schur_preconditioner(self):
-        """Block-diagonal preconditioner for the reduced scalar system.
+        """Exact inverse of the reduced scalar operator, as a function of b.
 
-        Uses the diagonal of M_D as a sparse stand-in for its inverse.
+        With S = B M_D^-1 B^T the reduced system sum_j alpha[i,j] M_W U^j
+        + tau beta[i] S U^i = b_i reads (A (x) M_W + I (x) tau S) U =
+        diag(beta)^-1 b, where A = diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1.
+        In W = V^-1 U it splits into r shifted systems (lam_k M_W + tau S) w_k
+        = (V^-1 diag(beta)^-1 b)_k, each solved as the saddle system
+        [lam_k M_W, tau B; -B^T, M_D] by CondensedLU.  A conjugate pair has
+        conjugate solutions, so one member is factored and its term counted
+        twice; a real lam_k stays real, so its factor and solves do too.
         """
-        m, basis = self.matrices, self.basis
-        approx = m.div @ sp.diags(1.0 / m.mass_flux.diagonal()) @ m.div.T
-        return [spla.splu((basis.alpha[i, i + 1] * m.mass_scalar
-                           + self.tau * basis.beta[i] * approx).tocsc())
-                for i in range(basis.r)]
+        m, basis, tau = self.matrices, self.basis, self.tau
+        r, nw, nv = basis.r, m.n_scalar, m.n_flux
+        lam, vecs = np.linalg.eig(basis.alpha[:, 1:] / basis.beta[:, None])
+        keep = np.flatnonzero(lam.imag >= 0)
+        real = lam[keep].imag == 0
+        shifts = [lk.real if rk else lk for lk, rk in zip(lam[keep], real)]
+        factors = [CondensedLU(sp.bmat([[s * m.mass_scalar, tau * m.div],
+                                        [-m.div.T, m.mass_flux]], format="csc"),
+                               m, 1) for s in shifts]
+        project = np.linalg.inv(vecs)[keep] / basis.beta     # (K, r)
+        combine = vecs[:, keep] * np.where(real, 1.0, 2.0)   # (r, K)
+
+        def apply(b):
+            loads = project @ b.reshape(r, nw)
+            w = [lu.solve(np.concatenate([c.real if rk else c, np.zeros(nv)]))[:nw]
+                 for lu, c, rk in zip(factors, loads, real)]
+            return (combine @ np.array(w)).real.ravel()
+
+        return apply
 
 
 class CondensedLU:
@@ -165,7 +186,7 @@ class CondensedLU:
         cell, row = np.divmod(a_ii.row, m)
         if np.any(a_ii.col // m != cell):
             raise RuntimeError("interior unknowns of different cells couple")
-        blocks = np.zeros((nc, m, m))
+        blocks = np.zeros((nc, m, m), dtype=matrix.dtype)
         blocks[cell, row, a_ii.col % m] = a_ii.data
         self.a_ii_inv = sp.bsr_matrix(
             (np.linalg.inv(blocks), np.arange(nc), np.arange(nc + 1)),
@@ -249,41 +270,37 @@ def _solve_direct(system):
 
 
 def _solve_schur(system):
-    """Eliminate the fluxes, solve the coupled scalar system by GMRES."""
+    """Eliminate the fluxes, solve the coupled scalar system by GMRES.
+
+    The reduced operator sum_j alpha[i,j] M_W U^j + tau beta[i] B M_D^-1 B^T U^i
+    is applied through one factor of M_D; GMRES is preconditioned by
+    `IntervalOperator.schur_preconditioner`, the operator's exact inverse
+    computed Gauss point by Gauss point, so it only refines that solve
+    against the coupled operator.  The fluxes are recovered from
+    M_D Q^i = B^T U^i.
+    """
     m = system.matrices
     basis = system.basis
     r = basis.r
-    nw, nv = m.n_scalar, m.n_flux
+    nw = m.n_scalar
     tau = system.operator.tau   # the step _check_residual measures against
     flux_lu = m.flux_mass_lu
-    B = m.div
+    B, BT = m.div, m.div.T.tocsr()
     MW = m.mass_scalar
+    alpha, tau_beta = basis.alpha[:, 1:], tau * basis.beta[:, None]
     applications = 0
 
     def reduced_matvec(u):
         nonlocal applications
         applications += 1
-        u = np.asarray(u, dtype=float).reshape(r, nw)
-        out = np.zeros((r, nw))
-        for i in range(r):
-            qi = flux_lu.solve(B.T @ u[i])
-            out[i] += tau * basis.beta[i] * (B @ qi)
-            for j in range(r):
-                a = basis.alpha[i, j + 1]
-                if a != 0.0:
-                    out[i] += a * (MW @ u[j])
-        return out.ravel()
-
-    pre = system.operator.schur_preconditioner
-
-    def apply_pre(v):
-        v = np.asarray(v, dtype=float).reshape(r, nw)
-        return np.concatenate([pre[i].solve(v[i]) for i in range(r)])
+        u = np.asarray(u, dtype=float).reshape(r, nw).T    # (nw, r)
+        q = flux_lu.solve(BT @ u)
+        return (alpha @ (MW @ u).T + tau_beta * (B @ q).T).ravel()
 
     # with a dtype LinearOperator skips its probe matvec: `applications`
     # counts GMRES's calls only
     op, M = (spla.LinearOperator((r * nw, r * nw), matvec=f, dtype=float)
-             for f in (reduced_matvec, apply_pre))
+             for f in (reduced_matvec, system.operator.schur_preconditioner))
     rhs_u = system.rhs[: r * nw]
     if np.linalg.norm(rhs_u) == 0.0:
         u = np.zeros(r * nw)
@@ -297,11 +314,8 @@ def _solve_schur(system):
                 f"GMRES did not converge on interval {system.interval} "
                 f"(info={info})", residual=res, iterations=iterations,
                 interval=system.interval, stage="gmres")
-    x = np.zeros(r * (nw + nv))
-    x[: r * nw] = u
-    u = u.reshape(r, nw)
-    for i in range(r):
-        x[r * nw + i * nv: r * nw + (i + 1) * nv] = flux_lu.solve(B.T @ u[i])
+    q = flux_lu.solve(BT @ u.reshape(r, nw).T)
+    x = np.concatenate([u, q.T.ravel()])
     _check_residual(system, x, "schur")
     return x
 

@@ -331,12 +331,15 @@ class TestFactorizations:
         mesh = unit_square_mesh(1)
         calls = _count_splu(monkeypatch)
         run(data, mesh, p=1, r=r, n_steps=10, solver=solver)
+        flux = build_pair(mesh, 1)[1]
+        n_edge = flux.n_edge_dofs
         if solver == "direct":
             # only the system in the edge flux moments is factored
-            n_edge = r * build_pair(mesh, 1)[1].n_edge_dofs
-            assert calls == [(n_edge, n_edge)]
+            assert calls == [(r * n_edge, r * n_edge)]
         else:
-            assert len(calls) == 1 + r
+            # M_D, then one edge system per real eigenvalue or conjugate pair
+            assert calls == ([(flux.n_dofs, flux.n_dofs)]
+                             + [(n_edge, n_edge)] * ((r + 1) // 2))
 
     def test_distinct_steps_get_their_own_factor(self, mms_problem,
                                                  monkeypatch):
@@ -358,27 +361,36 @@ class TestFactorizations:
         assert len(calls) == 2
 
 
+def _random_step(zero_data, p, r, distortion, seed):
+    """An interval system on a distorted L1 mesh, its right-hand side random."""
+    mesh = distort(unit_square_mesh(1), distortion, seed)
+    scalar, flux = build_pair(mesh, p)
+    basis = build_basis(r)
+    matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
+    system = build_step_system(0, basis, matrices, zero_data,
+                               np.zeros(scalar.n_dofs),
+                               TimePartition.uniform(1.0, 10))
+    system.rhs = np.random.default_rng(seed).standard_normal(len(system.rhs))
+    return system
+
+
+_step_cases = given(p=hst.integers(0, 4), r=hst.integers(1, 5),
+                    distortion=hst.floats(0.0, 0.45, exclude_max=True),
+                    seed=hst.integers(0, 2**32 - 1))
+
+
 class TestCondensedSolve:
-    """The condensed direct solve against a dense solve of the full matrix."""
+    """Both solvers, and the schur preconditioner, against dense solves."""
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
-    @given(p=hst.integers(0, 4), r=hst.integers(1, 5),
-           distortion=hst.floats(0.0, 0.45, exclude_max=True),
-           seed=hst.integers(0, 2**32 - 1))
+    @_step_cases
     def test_matches_dense_solve(self, zero_data, p, r, distortion, seed):
-        mesh = distort(unit_square_mesh(1), distortion, seed)
-        scalar, flux = build_pair(mesh, p)
-        basis = build_basis(r)
-        matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
-        system = build_step_system(0, basis, matrices, zero_data,
-                                   np.zeros(scalar.n_dofs),
-                                   TimePartition.uniform(1.0, 10))
         # a random right-hand side reaches the flux rows too
-        b = np.random.default_rng(seed).standard_normal(len(system.rhs))
-        system.rhs = b
+        system = _random_step(zero_data, p, r, distortion, seed)
+        b = system.rhs
         U, Q = solve_step(system, strategy="direct")
         got = np.concatenate([U.ravel(), Q.ravel()])
-        A = _dense_block(matrices, basis, system.operator.tau)
+        A = _dense_block(system.matrices, system.basis, system.operator.tau)
         dense = np.linalg.solve(A, b)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
         # one condensed solve, without the refinement solve_step may add
@@ -386,6 +398,30 @@ class TestCondensedSolve:
             backward = np.linalg.norm(A @ x - b) / (
                 np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
             assert backward <= 1e-14
+        # the reduced path takes scalar loads only
+        system.rhs = np.where(np.arange(len(b)) < r * system.matrices.n_scalar,
+                              b, 0.0)
+        U, Q = solve_step(system, strategy="schur")
+        got = np.concatenate([U.ravel(), Q.ravel()])
+        dense = np.linalg.solve(A, system.rhs)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @_step_cases
+    def test_schur_preconditioner_is_exact(self, zero_data, p, r, distortion,
+                                           seed):
+        # without GMRES it inverts sum_j alpha_ij M_W + tau beta_i B M_D^-1 B^T
+        system = _random_step(zero_data, p, r, distortion, seed)
+        m, basis, tau = system.matrices, system.basis, system.operator.tau
+        MW, B = m.mass_scalar.toarray(), m.div.toarray()
+        S = B @ np.linalg.solve(m.mass_flux.toarray(), B.T)
+        reduced = np.block([[basis.alpha[i, j + 1] * MW
+                             + (tau * basis.beta[i] * S if i == j else 0.0)
+                             for j in range(r)] for i in range(r)])
+        b = system.rhs[: r * m.n_scalar]
+        u = system.operator.schur_preconditioner(b)
+        assert u.dtype == np.float64
+        assert np.linalg.norm(reduced @ u - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestAdvance:
