@@ -11,9 +11,13 @@ of M_W and M_D are rational, so the rule order is chosen one notch above
 polynomial exactness: (p+3) points per direction.  `evaluation` is the one
 place that picks that rule; M_W, M_D, B, the loads, the projections and the
 error norms read one set of tables per space and order, built on first use
-and kept on the space.  Each matrix is a Galerkin product L^T K R of two
-tables and a pointwise weight; in B = E^T diag(w) D the det J of the
-weights cancels the 1/det J of the flux divergences D.
+and kept on the space.  The tables are dense per cell, (cells, points,
+local dofs), and every consumer applies them with batched products over the
+cells: forward to evaluate a function, transposed to integrate against the
+basis.  Each matrix is a sum over cells of Galerkin products L_c^T K_c R_c
+of two tables and a pointwise weight, built once from COO; in
+B = E^T diag(w) D the det J of the weights cancels the 1/det J of the flux
+divergences D.
 """
 
 from dataclasses import dataclass
@@ -112,27 +116,38 @@ def piola_values(space, rule, geometry=None):
 class Evaluation:
     """Quadrature tables of one space under one tensor rule, over all cells.
 
-    Quadrature points are numbered cell by cell.  `values` maps global
-    coefficients to the function's values at the points; for fluxes these
-    are signed Piola values with the x and y rows of a point interleaved, and
-    `divs` maps them to the divergence (None for scalars).
+    Quadrature points are numbered cell by cell.  The tables are dense per
+    cell: `values[c]` maps the coefficients of cell c's local dofs
+    (`cell_dofs[c]`) to the function's values at the cell's points; for
+    fluxes these are signed Piola values with the x and y rows of a point
+    interleaved, and `divs[c]` maps them to the divergence (None for
+    scalars).  A scalar table is the same on every cell, so `values` is a
+    read-only broadcast of the reference table.
     """
 
     rule: TensorRule2D     # the reference rule the tables were built from
     points: np.ndarray     # (nc * nq, 2) physical points
     weights: np.ndarray    # (nc * nq,) rule weight times det J
-    values: sp.csr_matrix  # (nc * nq, n_dofs) or (2 * nc * nq, n_dofs)
-    divs: sp.csr_matrix = None
+    cell_dofs: np.ndarray  # (nc, n_local) global dof of each table column
+    n_dofs: int
+    values: np.ndarray     # (nc, nq, n_local) or (nc, 2 * nq, n_local)
+    divs: np.ndarray = None  # (nc, nq, n_local)
 
+    def apply(self, table, coeffs):
+        """The table applied to global coefficients (n_dofs, k): (nc, rows, k)."""
+        local = np.stack([column[self.cell_dofs] for column in coeffs.T], axis=-1)
+        return np.matmul(table, local)
 
-def _cell_operator(tables, cell_dofs, n_dofs):
-    """CSR operator from per-cell tables (nc, ..., n_local) on global dofs."""
-    nc, nl = cell_dofs.shape
-    data = tables.reshape(-1, nl)
-    indices = np.repeat(cell_dofs, len(data) // nc, axis=0)
-    indptr = np.arange(0, data.size + 1, nl)
-    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                         shape=(len(data), n_dofs))
+    def apply_transposed(self, table, data):
+        """The transposed table applied to point data, summed into the global
+        dofs: (n_dofs, k).  data holds k numbers per table row, ordered by
+        cell, row and column: (nc * rows, k), or any shape of that size."""
+        nc, rows, _ = table.shape
+        local = np.matmul(table.transpose(0, 2, 1), data.reshape(nc, rows, -1))
+        dofs = self.cell_dofs.ravel()
+        return np.column_stack([
+            np.bincount(dofs, weights=column, minlength=self.n_dofs)
+            for column in local.reshape(len(dofs), -1).T])
 
 
 def evaluation(space, order=None):
@@ -147,42 +162,53 @@ def evaluation(space, order=None):
     rule = tensor_unit(order)
     geometry = cell_geometry(space.mesh, rule)
     phys, _, det = geometry
-    dofs, n = space.cell_dofs, space.n_dofs
     if isinstance(space, FluxSpace):
         vals, divs, _ = piola_values(space, rule, geometry)
-        values = _cell_operator(vals.transpose(0, 1, 3, 2), dofs, n)
-        divs = _cell_operator(divs, dofs, n)
+        nc, nq, nl, _ = vals.shape
+        values = vals.transpose(0, 1, 3, 2).reshape(nc, 2 * nq, nl)
     else:
         phi = space.ref.tabulate(rule.points)
-        values = _cell_operator(np.broadcast_to(phi, det.shape + phi.shape[1:]),
-                                dofs, n)
+        values = np.broadcast_to(phi, det.shape[:1] + phi.shape)
         divs = None
     ev = Evaluation(rule=rule, points=phys.reshape(-1, 2),
                     weights=(rule.weights[None, :] * det).ravel(),
+                    cell_dofs=space.cell_dofs, n_dofs=space.n_dofs,
                     values=values, divs=divs)
     space.evaluations[order] = ev
     return ev
 
 
-def _galerkin(left, weight, right):
-    """The matrix L^T K R of two tables L, R and a point weight K."""
-    return (left.T @ (weight @ right)).tocsr()
+def _galerkin(left, left_table, weighted_right, right):
+    """The matrix sum over cells of L_c^T (K_c R_c), for the tables L of
+    `left` and the weighted tables K R of `right`, built once from COO."""
+    local = np.matmul(left_table.transpose(0, 2, 1), weighted_right)
+    rows = np.broadcast_to(left.cell_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(right.cell_dofs[:, None, :], local.shape)
+    matrix = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                           shape=(left.n_dofs, right.n_dofs)).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _cell_weights(ev):
+    """Point weights per cell, (nc, nq, 1), to scale a table's rows."""
+    return ev.weights.reshape(len(ev.cell_dofs), -1, 1)
 
 
 def assemble_mass_scalar(space):
     """Scalar mass matrix <w_j, w_i>; block diagonal over cells."""
     ev = evaluation(space)
-    return _galerkin(ev.values, sp.diags(ev.weights), ev.values)
+    return _galerkin(ev, ev.values, _cell_weights(ev) * ev.values, ev)
 
 
 def assemble_weighted_mass_flux(space, coefficient):
     """Weighted flux mass matrix <D^{-1} v_j, v_i>."""
     ev = evaluation(space)
-    npts = len(ev.weights)
+    nc, rows, nl = ev.values.shape
     blocks = ev.weights[:, None, None] * coefficient.inverse_at(ev.points)
-    weight = sp.bsr_matrix((blocks, np.arange(npts), np.arange(npts + 1)),
-                           shape=(2 * npts, 2 * npts))
-    return _galerkin(ev.values, weight, ev.values)
+    weighted = np.matmul(blocks.reshape(nc, -1, 2, 2),
+                         ev.values.reshape(nc, -1, 2, nl))
+    return _galerkin(ev, ev.values, weighted.reshape(nc, rows, nl), ev)
 
 
 def assemble_div_coupling(flux_space, scalar_space):
@@ -195,9 +221,9 @@ def assemble_div_coupling(flux_space, scalar_space):
     if (flux_space.mesh is not scalar_space.mesh
             or flux_space.p != scalar_space.p):
         raise ValueError("flux and scalar spaces must share a mesh and degree")
-    scalar = evaluation(scalar_space)
-    return _galerkin(scalar.values, sp.diags(scalar.weights),
-                     evaluation(flux_space).divs)
+    scalar, flux = evaluation(scalar_space), evaluation(flux_space)
+    return _galerkin(scalar, scalar.values, _cell_weights(scalar) * flux.divs,
+                     flux)
 
 
 def sample_in_time(f, points, times, vector=False):
@@ -216,19 +242,13 @@ def sample_in_time(f, points, times, vector=False):
 def assemble_load(space, f, times):
     """Load vectors <f(., t), w_i>, one column per time t in `times`."""
     ev = evaluation(space)
-    return ev.values.T @ (sample_in_time(f, ev.points, times) * ev.weights).T
+    data = sample_in_time(f, ev.points, times) * ev.weights
+    return ev.apply_transposed(ev.values, data.T)
 
 
 def assemble_flux_moments(space, g):
     """Vector of <g, v_i> for a vector-valued g; RHS of an L2 flux projection."""
     ev = evaluation(space)
-    return ev.values.T @ (ev.weights[:, None] * g(ev.points)).ravel()
+    data = ev.weights[:, None] * g(ev.points)
+    return ev.apply_transposed(ev.values, data)[:, 0]
 
-
-def dump_coo(matrix, path):
-    """Write a sparse matrix as `row col value` lines (debug aid)."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

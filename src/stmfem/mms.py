@@ -90,25 +90,33 @@ def _space_time_error(solution, space, stacks, exact_fields, time_order,
     """(sum over exact_fields of ||exact - discrete||^2 in L2(I; L2))^(1/2).
 
     exact_fields pair, in order, with the space's value and divergence
-    operators from assembly.evaluation; each is evaluated once per interval.
+    tables from assembly.evaluation.  Per interval each table is applied to
+    the r+1 coefficient vectors and the result combined with the time basis
+    at the time points in one dense product; the pointwise difference is
+    squared and reduced with the point weights in one product.
     """
     ev = evaluation(space, space_order)
     trule = gauss_legendre_unit(time_order or (solution.basis.r + 3))
     basis_vals = solution.basis.eval_trial_all(trule.points)  # (nt, r+1)
     part = solution.partition
     nt, npts = len(trule.points), len(ev.weights)
+    tables = (ev.values, ev.divs)[:len(exact_fields)]
+    # one weight per table row: a point's weight repeated over its components
+    row_weights = [np.repeat(ev.weights, table.shape[1] // len(ev.rule.weights))
+                   for table in tables]
     total = 0.0
     for n, stack in enumerate(stacks):
         tau = part.step_size(n)
         times = part.nodes[n] + tau * trule.points
-        coefs = basis_vals @ stack  # (nt, n_dofs)
-        sq = np.zeros((nt, npts))
-        for op, exact in zip((ev.values, ev.divs), exact_fields):
-            diff = sample_in_time(exact, ev.points, times,
-                                  vector=op.shape[0] > npts)
-            diff = diff - (op @ coefs.T).T.reshape(diff.shape)
-            sq += (diff**2).reshape(nt, npts, -1).sum(axis=2)
-        total += tau * float(trule.weights @ (sq @ ev.weights))
+        sq = np.zeros(nt)
+        for table, weights, exact in zip(tables, row_weights, exact_fields):
+            discrete = ev.apply(table, stack.T).reshape(len(weights), -1)
+            diff = basis_vals @ discrete.T
+            diff -= sample_in_time(exact, ev.points, times,
+                                   vector=len(weights) > npts).reshape(nt, -1)
+            np.square(diff, out=diff)
+            sq += diff @ weights
+        total += tau * float(trule.weights @ sq)
     return math.sqrt(total)
 
 

@@ -283,8 +283,8 @@ def l2_project_scalar(g, space):
     phi = space.ref.tabulate(ev.rule.points)
     wdet = ev.weights.reshape(space.mesh.n_cells, -1)
     gram = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
-    rhs = ev.values.T @ (ev.weights * g(ev.points))
-    local = np.linalg.solve(gram, rhs[space.cell_dofs][:, :, None])[:, :, 0]
+    rhs = ev.apply_transposed(ev.values, ev.weights * g(ev.points))
+    local = np.linalg.solve(gram, rhs[space.cell_dofs])[:, :, 0]
     coef = np.empty(space.n_dofs)
     coef[space.cell_dofs] = local
     return FeFunction(space=space, coefficients=coef)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as hst
 from numpy.testing import assert_allclose
 
 from stmfem.assembly import (
@@ -12,7 +13,7 @@ from stmfem.assembly import (
     evaluation,
     piola_values,
 )
-from stmfem.exceptions import InvalidCoefficientError
+from stmfem.exceptions import InvalidCoefficientError, InvalidMeshError
 from stmfem.mesh import distort, level_seed, unit_square_mesh
 from stmfem.quadrature import tensor_unit
 from stmfem.spaces import (
@@ -306,33 +307,82 @@ def test_cell_geometry_matches_cell_map():
 
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_evaluation_matches_per_cell_evaluation(p, rng):
-    # eval_* sign the coefficients per cell; the operators carry signed tables
+    # eval_* sign the coefficients per cell; the tables carry the signs
     m = distort(unit_square_mesh(2), 0.2, level_seed(13, 2))
     scalar, flux = build_pair(m, p)
     rule = tensor_unit(p + 3)
-    shape = (m.n_cells, len(rule.weights))
+    nq = len(rule.weights)
+    shape = (m.n_cells, nq)
     u = FeFunction(scalar, rng.standard_normal(scalar.n_dofs))
     q = FeFunction(flux, rng.standard_normal(flux.n_dofs))
     ev_u, ev_q = evaluation(scalar, p + 3), evaluation(flux, p + 3)
     assert ev_u.divs is None
+    assert ev_u.values.shape == shape + (scalar.cell_dofs.shape[1],)
+    assert ev_q.values.shape == (m.n_cells, 2 * nq, flux.cell_dofs.shape[1])
+    assert ev_q.divs.shape == shape + (flux.cell_dofs.shape[1],)
     assert_allclose(ev_q.points, ev_u.points, rtol=0, atol=0)
     assert_allclose(ev_q.weights, ev_u.weights, rtol=0, atol=0)
     points = ev_u.points.reshape(shape + (2,))
     weights = ev_u.weights.reshape(shape)
-    u_vals = (ev_u.values @ u.coefficients).reshape(shape)
-    q_vals = (ev_q.values @ q.coefficients).reshape(shape + (2,))
-    q_divs = (ev_q.divs @ q.coefficients).reshape(shape)
     for k in range(m.n_cells):
         cm = m.cell_map(k)
         _, det = cm.jacobian(rule.points)
+        u_vals = ev_u.values[k] @ u.coefficients[scalar.cell_dofs[k]]
+        q_local = q.coefficients[flux.cell_dofs[k]]
+        q_vals = (ev_q.values[k] @ q_local).reshape(nq, 2)
+        q_divs = ev_q.divs[k] @ q_local
         assert_allclose(points[k], cm.map(rule.points), atol=1e-15)
         assert_allclose(weights[k], rule.weights * det, rtol=1e-14)
-        assert_allclose(u_vals[k], eval_scalar(u, k, rule.points),
+        assert_allclose(u_vals, eval_scalar(u, k, rule.points),
                         rtol=1e-12, atol=1e-13)
-        assert_allclose(q_vals[k], eval_flux(q, k, rule.points),
+        assert_allclose(q_vals, eval_flux(q, k, rule.points),
                         rtol=1e-12, atol=1e-12)
-        assert_allclose(q_divs[k], eval_div_flux(q, k, rule.points),
+        assert_allclose(q_divs, eval_div_flux(q, k, rule.points),
                         rtol=1e-12, atol=1e-11)
+    # apply gathers every cell's coefficients at once
+    assert_allclose(ev_q.apply(ev_q.values, q.coefficients[:, None]).ravel(),
+                    np.concatenate([ev_q.values[k] @ q.coefficients[dofs]
+                                    for k, dofs in enumerate(flux.cell_dofs)]),
+                    rtol=0, atol=0)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=hst.integers(0, 4), distortion=hst.floats(0.0, 0.45, exclude_max=True),
+       seed=hst.integers(0, 2**32 - 1), k=hst.integers(1, 3))
+def test_forward_and_transposed_applications_are_adjoint(p, distortion, seed, k):
+    # sum_rows w (T c) g = c . (T^T (w g)) for every table and random c, g
+    try:
+        m = distort(unit_square_mesh(1), distortion, seed)
+    except InvalidMeshError:
+        reject()
+    scalar, flux = build_pair(m, p)
+    rng = np.random.default_rng(seed)
+    for space in (scalar, flux):
+        ev = evaluation(space)
+        for table in (ev.values, ev.divs):
+            if table is None:
+                continue
+            c = rng.standard_normal((space.n_dofs, k))
+            g = rng.standard_normal((table.shape[0] * table.shape[1], k))
+            w = np.repeat(ev.weights, len(g) // len(ev.weights))[:, None]
+            forward = ev.apply(table, c).reshape(g.shape)
+            transposed = ev.apply_transposed(table, w * g)
+            assert transposed.shape == c.shape
+            lhs = np.sum(w * forward * g, axis=0)
+            rhs = np.sum(c * transposed, axis=0)
+            scale = np.sum(np.abs(w * forward * g), axis=0)
+            assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("distortion", [0.0, 0.25])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_matrices_store_no_zeros(p, distortion):
+    m = distort(unit_square_mesh(2), distortion, level_seed(19, 2))
+    scalar, flux = build_pair(m, p)
+    for matrix in (assemble_mass_scalar(scalar),
+                   assemble_weighted_mass_flux(flux, CoefficientField.identity()),
+                   assemble_div_coupling(flux, scalar)):
+        assert not np.any(matrix.data == 0.0)
 
 
 def test_run_and_error_norms_build_one_table_per_space_and_order(
@@ -362,13 +412,3 @@ def test_run_and_error_norms_build_one_table_per_space_and_order(
     assert list(flux.evaluations) == [4]
     assert len(calls) == 3
 
-
-def test_dump_coo_roundtrip(tmp_path):
-    from stmfem.assembly import dump_coo
-    scalar, _ = build_pair(unit_square_mesh(1), 0)
-    mass = assemble_mass_scalar(scalar)
-    path = tmp_path / "mass.txt"
-    dump_coo(mass, path)
-    rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == mass.nnz
-    assert all(abs(float(v) - 0.25) < 1e-15 for _, _, v in rows)

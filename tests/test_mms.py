@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import stmfem as st
 from stmfem.assembly import CoefficientField
 from stmfem.exceptions import UnsupportedConfigurationError
+from stmfem.mesh import distort, level_seed
 from stmfem.mms import eoc, error_q_V, error_u, mms_standard
 from stmfem.timeloop import ProblemData, run
 
@@ -160,6 +161,44 @@ class TestErrorNorms:
         # time, the default (r+3)-point rule is not at this coarse level)
         mine = error_u(sol, standard, time_order=10, space_order=7)
         assert abs(mine - math.sqrt(oracle_sq)) < 1e-8 * mine + 1e-13
+
+    def test_flux_error_against_scipy_quadrature_oracle(self, standard):
+        # ||q - q_h||^2 + ||div(q - q_h)||^2 cell by cell through eval_flux
+        # and eval_div_flux on a distorted mesh, adaptive in time
+        from scipy.integrate import quad
+        from stmfem.quadrature import tensor_unit
+        from stmfem.spaces import FeFunction, eval_div_flux, eval_flux
+        data = ProblemData(diffusion=CoefficientField.identity(),
+                           initial_scalar=standard.initial_scalar(),
+                           source=standard.source, final_time=1.0,
+                           initial_flux=standard.initial_flux())
+        mesh = distort(st.unit_square_mesh(1), 0.2, level_seed(23, 1))
+        sol = run(data, mesh, p=2, r=2, n_steps=10)
+        srule = tensor_unit(7)
+        maps = [mesh.cell_map(k) for k in range(mesh.n_cells)]
+        phys = [cm.map(srule.points) for cm in maps]
+        wdet = [srule.weights * cm.jacobian(srule.points)[1] for cm in maps]
+
+        def spatial_sq_error(t):
+            _, q_coef = sol.coefficients_at(t)
+            q_h = FeFunction(sol.flux_space, q_coef)
+            total = 0.0
+            for k in range(mesh.n_cells):
+                tt = np.array([t])
+                dq = standard.flux(phys[k], tt)[0] - eval_flux(q_h, k, srule.points)
+                ddiv = (standard.div_flux(phys[k], tt)[0]
+                        - eval_div_flux(q_h, k, srule.points))
+                total += float(wdet[k] @ (np.sum(dq**2, axis=1) + ddiv**2))
+            return total
+
+        oracle_sq = 0.0
+        for n in range(10):
+            a, b = sol.partition.nodes[n], sol.partition.nodes[n + 1]
+            val, _ = quad(spatial_sq_error, a, b, limit=200, epsabs=1e-13,
+                          epsrel=1e-11)
+            oracle_sq += val
+        mine = error_q_V(sol, standard, time_order=10, space_order=7)
+        assert abs(mine - math.sqrt(oracle_sq)) < 1e-8 * mine
 
     def test_quadrature_refinement_stability(self, standard):
         data = ProblemData(diffusion=CoefficientField.identity(),
