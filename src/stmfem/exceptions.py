@@ -24,7 +24,9 @@ class SolverFailureError(Exception):
     """A solve failed at `interval`, in `stage` rhs/direct/schur/gmres.
 
     "rhs" means the right-hand side held a NaN or infinity, so nothing was
-    solved; the other stages missed their tolerance.
+    solved; the other stages missed their tolerance.  `residual` is the
+    normwise backward error against the interval's block matrix; on the
+    gmres stage `iterations` counts GMRES's products with that matrix.
     """
 
     def __init__(self, message, residual=None, iterations=None, interval=None,

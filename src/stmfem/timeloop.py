@@ -11,6 +11,11 @@ where U^0 carries the continuity-in-time constraint from the previous
 interval (projection of the initial data on the first one).  The left
 endpoint flux coefficient Q^0 never enters the equations; it is carried
 along purely so the flux can be reconstructed anywhere in time.
+
+Both solvers solve this block matrix (`IntervalOperator.matrix`) and check
+their backward error against it: `direct` by static condensation of the
+coupled system, `schur` by GMRES preconditioned with the exact
+Gauss-point-decoupled solve.
 """
 
 import weakref
@@ -85,10 +90,6 @@ class SystemMatrices:
     def n_flux(self):
         return self.flux_space.n_dofs
 
-    @cached_property
-    def flux_mass_lu(self):
-        return spla.splu(self.mass_flux.tocsc())
-
     def operator(self, basis, tau):
         """The interval operator for (r, tau), rebuilt only when the step changes.
 
@@ -128,19 +129,18 @@ class IntervalOperator:
 
     @cached_property
     def schur_preconditioner(self):
-        """Exact inverse of the reduced scalar operator, as a function of b.
+        """Exact inverse of `matrix`, as a function of the right-hand side.
 
-        With S = B M_D^-1 B^T the reduced system sum_j alpha[i,j] M_W U^j
-        + tau beta[i] S U^i = b_i reads (A (x) M_W + I (x) tau S) U =
-        diag(beta)^-1 b, where A = diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1.
-        In W = V^-1 U it splits into r shifted systems (lam_k M_W + tau S) w_k
-        = (V^-1 diag(beta)^-1 b)_k, each solved as the saddle system
-        [lam_k M_W, tau B; -B^T, M_D] by CondensedLU.  A conjugate pair has
-        conjugate solutions, so one member is factored and its term counted
-        twice; a real lam_k stays real, so its factor and solves do too.
+        Divided by beta, the scalar rows read sum_j A[i,j] M_W U^j + tau B Q^i
+        with A = diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1.  In
+        (W, P) = V^-1 (U, Q) the r coupled blocks split into the shifted
+        saddle systems [lam_k M_W, tau B; -B^T, M_D], each solved by
+        CondensedLU on the V^-1-projected scalar and flux loads.  A conjugate
+        pair has conjugate solutions, so one member is factored and its term
+        counted twice; a real lam_k stays real, so its factor and solves do too.
         """
         m, basis, tau = self.matrices, self.basis, self.tau
-        r, nw, nv = basis.r, m.n_scalar, m.n_flux
+        r, nw = basis.r, m.n_scalar
         lam, vecs = np.linalg.eig(basis.alpha[:, 1:] / basis.beta[:, None])
         keep = np.flatnonzero(lam.imag >= 0)
         real = lam[keep].imag == 0
@@ -148,14 +148,17 @@ class IntervalOperator:
         factors = [CondensedLU(sp.bmat([[s * m.mass_scalar, tau * m.div],
                                         [-m.div.T, m.mass_flux]], format="csc"),
                                m, 1) for s in shifts]
-        project = np.linalg.inv(vecs)[keep] / basis.beta     # (K, r)
+        project = np.linalg.inv(vecs)[keep]                  # (K, r)
         combine = vecs[:, keep] * np.where(real, 1.0, 2.0)   # (r, K)
 
         def apply(b):
-            loads = project @ b.reshape(r, nw)
-            w = [lu.solve(np.concatenate([c.real if rk else c, np.zeros(nv)]))[:nw]
-                 for lu, c, rk in zip(factors, loads, real)]
-            return (combine @ np.array(w)).real.ravel()
+            # one row per Gauss point: its scalar load over beta, its flux load
+            rows = np.hstack([b[: r * nw].reshape(r, nw) / basis.beta[:, None],
+                              b[r * nw:].reshape(r, -1)])
+            w = [lu.solve(c.real if rk else c)
+                 for lu, c, rk in zip(factors, project @ rows, real)]
+            x = (combine @ np.array(w)).real
+            return np.concatenate([x[:, :nw].ravel(), x[:, nw:].ravel()])
 
         return apply
 
@@ -214,9 +217,6 @@ class StepSystem:
     rhs: np.ndarray
     operator: IntervalOperator
 
-    def full_matrix(self):
-        return self.operator.matrix
-
 
 def initial_coefficients(data, scalar_space, flux_space):
     """Project the initial datum: (P_h u0, vec P_h(-D grad u0))."""
@@ -238,16 +238,19 @@ def build_step_system(interval, basis, matrices, data, u_start, partition):
                       rhs=rhs, operator=matrices.operator(basis, tau))
 
 
-def _check_residual(system, x, stage):
-    """Check that the relative residual of the solved A is <= DEFAULT_TOL.
+def _backward_error(op, x, b):
+    """The normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||)."""
+    res = np.linalg.norm(op.matrix @ x - b)
+    scale = op.norm * np.linalg.norm(x) + np.linalg.norm(b)
+    return res / scale if scale > 0.0 else res
 
-    The residual is ||Ax - b|| / (||A|| ||x|| + ||b||).  DEFAULT_TOL is read
-    at call time, so a test may patch it.
+
+def _check_residual(system, x, stage):
+    """Check that the backward error of the solved A is <= DEFAULT_TOL.
+
+    DEFAULT_TOL is read at call time, so a test may patch it.
     """
-    op = system.operator
-    res = op.matrix @ x - system.rhs
-    scale = op.norm * np.linalg.norm(x) + np.linalg.norm(system.rhs)
-    rel = np.linalg.norm(res) / scale if scale > 0.0 else np.linalg.norm(res)
+    rel = _backward_error(system.operator, x, system.rhs)
     if not rel <= DEFAULT_TOL:  # NaN fails too
         raise SolverFailureError(
             f"{stage} solve on interval {system.interval} "
@@ -270,52 +273,37 @@ def _solve_direct(system):
 
 
 def _solve_schur(system):
-    """Eliminate the fluxes, solve the coupled scalar system by GMRES.
+    """Solve the block system by GMRES, preconditioned by its exact inverse.
 
-    The reduced operator sum_j alpha[i,j] M_W U^j + tau beta[i] B M_D^-1 B^T U^i
-    is applied through one factor of M_D; GMRES is preconditioned by
-    `IntervalOperator.schur_preconditioner`, the operator's exact inverse
-    computed Gauss point by Gauss point, so it only refines that solve
-    against the coupled operator.  The fluxes are recovered from
-    M_D Q^i = B^T U^i.
+    GMRES runs on `IntervalOperator.matrix`, the matrix `direct` factors;
+    `IntervalOperator.schur_preconditioner` inverts it Gauss point by Gauss
+    point, so GMRES only refines that solve against the coupled matrix.  It
+    stops at a backward error of 1e-13, with ||x|| taken from one
+    preconditioned solve: a residual of 1e-13 ||b|| lies below the rounding
+    floor on fine meshes, where GMRES would restart to GMRES_MAXITER.
     """
-    m = system.matrices
-    basis = system.basis
-    r = basis.r
-    nw = m.n_scalar
-    tau = system.operator.tau   # the step _check_residual measures against
-    flux_lu = m.flux_mass_lu
-    B, BT = m.div, m.div.T.tocsr()
-    MW = m.mass_scalar
-    alpha, tau_beta = basis.alpha[:, 1:], tau * basis.beta[:, None]
+    op, b = system.operator, system.rhs
+    n = len(b)
     applications = 0
 
-    def reduced_matvec(u):
+    def matvec(x):
         nonlocal applications
         applications += 1
-        u = np.asarray(u, dtype=float).reshape(r, nw).T    # (nw, r)
-        q = flux_lu.solve(BT @ u)
-        return (alpha @ (MW @ u).T + tau_beta * (B @ q).T).ravel()
+        return op.matrix @ x
 
     # with a dtype LinearOperator skips its probe matvec: `applications`
     # counts GMRES's calls only
-    op, M = (spla.LinearOperator((r * nw, r * nw), matvec=f, dtype=float)
-             for f in (reduced_matvec, system.operator.schur_preconditioner))
-    rhs_u = system.rhs[: r * nw]
-    if np.linalg.norm(rhs_u) == 0.0:
-        u = np.zeros(r * nw)
-    else:
-        u, info = spla.gmres(op, rhs_u, rtol=1e-13, atol=0.0,
-                             restart=200, maxiter=GMRES_MAXITER, M=M)
-        if info != 0:
-            iterations = applications
-            res = np.linalg.norm(reduced_matvec(u) - rhs_u) / np.linalg.norm(rhs_u)
-            raise SolverFailureError(
-                f"GMRES did not converge on interval {system.interval} "
-                f"(info={info})", residual=res, iterations=iterations,
-                interval=system.interval, stage="gmres")
-    q = flux_lu.solve(BT @ u.reshape(r, nw).T)
-    x = np.concatenate([u, q.T.ravel()])
+    A, M = (spla.LinearOperator((n, n), matvec=f, dtype=float)
+            for f in (matvec, op.schur_preconditioner))
+    x_hat = op.schur_preconditioner(b)
+    atol = 1e-13 * (op.norm * np.linalg.norm(x_hat) + np.linalg.norm(b))
+    x, info = spla.gmres(A, b, rtol=0.0, atol=atol, restart=200,
+                         maxiter=GMRES_MAXITER, M=M)
+    if info != 0:
+        raise SolverFailureError(
+            f"GMRES did not converge on interval {system.interval} "
+            f"(info={info})", residual=_backward_error(op, x, b),
+            iterations=applications, interval=system.interval, stage="gmres")
     _check_residual(system, x, "schur")
     return x
 
@@ -378,35 +366,6 @@ class SpaceTimeSolution:
         u = np.einsum("j,jn->n", w, self.scalar_coeffs[n])
         q = np.einsum("j,jn->n", w, self.flux_coeffs[n])
         return u, q
-
-    def dump_checkpoint(self, path):
-        """Text checkpoint: one `interval j value...` record per line."""
-        with open(path, "w") as fh:
-            fh.write(f"# intervals {self.n_intervals} r {self.basis.r} "
-                     f"nw {self.scalar_space.n_dofs} nv {self.flux_space.n_dofs}\n")
-            for n in range(self.n_intervals):
-                for j in range(self.basis.r + 1):
-                    row = " ".join(repr(float(v)) for v in self.scalar_coeffs[n][j])
-                    fh.write(f"u {n} {j} {row}\n")
-                for j in range(self.basis.r + 1):
-                    row = " ".join(repr(float(v)) for v in self.flux_coeffs[n][j])
-                    fh.write(f"q {n} {j} {row}\n")
-
-
-def load_checkpoint(path):
-    """Read back a dump_checkpoint file as (scalar_stacks, flux_stacks)."""
-    scalars, fluxes = {}, {}
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            kind, n, j, *vals = line.split()
-            target = scalars if kind == "u" else fluxes
-            target.setdefault(int(n), {})[int(j)] = np.array(
-                [float(v) for v in vals])
-    def stack(d):
-        return [np.array([d[n][j] for j in sorted(d[n])]) for n in sorted(d)]
-    return stack(scalars), stack(fluxes)
 
 
 def run(data, mesh, p, r, n_steps, solver="direct"):

@@ -338,7 +338,7 @@ def test_criterion_9_solver_equivalence(mms_problem):
     u01, _ = initial_coefficients(data, s1, v1)
     system1 = build_step_system(0, basis, m1, data, u01, part1)
     U, Q = solve_step(system1, strategy="direct")
-    dense = np.linalg.solve(system1.full_matrix().toarray(), system1.rhs)
+    dense = np.linalg.solve(system1.operator.matrix.toarray(), system1.rhs)
     dense_diff = float(np.max(np.abs(np.concatenate([U.ravel(), Q.ravel()])
                                      - dense)))
     ok = schur_diff < 1e-9 and dense_diff < 1e-10

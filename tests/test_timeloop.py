@@ -18,7 +18,6 @@ from stmfem.timeloop import (
     build_step_system,
     endpoint_value,
     initial_coefficients,
-    load_checkpoint,
     local_mass_balance,
     run,
     solve_step,
@@ -165,7 +164,7 @@ class TestStepSystem:
         basis = build_basis(1)
         system = build_step_system(3, basis, self.matrices, zero_data,
                                    np.zeros(self.scalar.n_dofs), self.partition)
-        mat = system.full_matrix()
+        mat = system.operator.matrix
         nw, nv = self.scalar.n_dofs, self.flux.n_dofs
         assert mat.shape == (nw + nv, nw + nv)
         # alpha = [-2, 2], beta = 1: scalar block is 2 M_W
@@ -180,7 +179,7 @@ class TestStepSystem:
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
         x = rng.standard_normal(len(system.rhs))
-        system.rhs = system.full_matrix() @ x
+        system.rhs = system.operator.matrix @ x
         U, Q = solve_step(system, strategy="direct")
         got = np.concatenate([U.ravel(), Q.ravel()])
         assert np.max(np.abs(got - x)) < 1e-10
@@ -201,7 +200,7 @@ class TestStepSystem:
         system = build_step_system(0, self.basis, self.matrices, data, u0,
                                    self.partition)
         U, Q = solve_step(system, strategy="direct")
-        dense = np.linalg.solve(system.full_matrix().toarray(), system.rhs)
+        dense = np.linalg.solve(system.operator.matrix.toarray(), system.rhs)
         got = np.concatenate([U.ravel(), Q.ravel()])
         assert np.max(np.abs(got - dense)) < 1e-10
 
@@ -263,7 +262,7 @@ class TestStepSystem:
         system.operator.lu = lu
         U, Q = solve_step(system, strategy="direct")
         assert lu.calls == solves
-        dense = np.linalg.solve(system.full_matrix().toarray(), system.rhs)
+        dense = np.linalg.solve(system.operator.matrix.toarray(), system.rhs)
         got = np.concatenate([U.ravel(), Q.ravel()])
         assert np.max(np.abs(got - dense)) < 1e-10
 
@@ -337,9 +336,8 @@ class TestFactorizations:
             # only the system in the edge flux moments is factored
             assert calls == [(r * n_edge, r * n_edge)]
         else:
-            # M_D, then one edge system per real eigenvalue or conjugate pair
-            assert calls == ([(flux.n_dofs, flux.n_dofs)]
-                             + [(n_edge, n_edge)] * ((r + 1) // 2))
+            # one edge system per real eigenvalue or conjugate pair
+            assert calls == [(n_edge, n_edge)] * ((r + 1) // 2)
 
     def test_distinct_steps_get_their_own_factor(self, mms_problem,
                                                  monkeypatch):
@@ -374,6 +372,12 @@ def _random_step(zero_data, p, r, distortion, seed):
     return system
 
 
+def _backward_error(A, x, b):
+    """||Ax - b|| / (||A|| ||x|| + ||b||) with dense A, Frobenius norm."""
+    return np.linalg.norm(A @ x - b) / (
+        np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+
+
 _step_cases = given(p=hst.integers(0, 4), r=hst.integers(1, 5),
                     distortion=hst.floats(0.0, 0.45, exclude_max=True),
                     seed=hst.integers(0, 2**32 - 1))
@@ -395,33 +399,49 @@ class TestCondensedSolve:
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
         # one condensed solve, without the refinement solve_step may add
         for x in (got, system.operator.lu.solve(b)):
-            backward = np.linalg.norm(A @ x - b) / (
-                np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
-            assert backward <= 1e-14
-        # the reduced path takes scalar loads only
-        system.rhs = np.where(np.arange(len(b)) < r * system.matrices.n_scalar,
-                              b, 0.0)
+            assert _backward_error(A, x, b) <= 1e-14
         U, Q = solve_step(system, strategy="schur")
         got = np.concatenate([U.ravel(), Q.ravel()])
-        dense = np.linalg.solve(A, system.rhs)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @_step_cases
     def test_schur_preconditioner_is_exact(self, zero_data, p, r, distortion,
                                            seed):
-        # without GMRES it inverts sum_j alpha_ij M_W + tau beta_i B M_D^-1 B^T
+        # without GMRES, one decoupled solve inverts the block matrix
         system = _random_step(zero_data, p, r, distortion, seed)
-        m, basis, tau = system.matrices, system.basis, system.operator.tau
-        MW, B = m.mass_scalar.toarray(), m.div.toarray()
-        S = B @ np.linalg.solve(m.mass_flux.toarray(), B.T)
-        reduced = np.block([[basis.alpha[i, j + 1] * MW
-                             + (tau * basis.beta[i] * S if i == j else 0.0)
-                             for j in range(r)] for i in range(r)])
-        b = system.rhs[: r * m.n_scalar]
-        u = system.operator.schur_preconditioner(b)
-        assert u.dtype == np.float64
-        assert np.linalg.norm(reduced @ u - b) <= 1e-12 * np.linalg.norm(b)
+        A = _dense_block(system.matrices, system.basis, system.operator.tau)
+        b = system.rhs
+        x = system.operator.schur_preconditioner(b)
+        assert x.dtype == np.float64
+        assert _backward_error(A, x, b) <= 1e-14
+
+    @pytest.mark.parametrize("p, r", [(2, 2), (1, 5)])
+    def test_schur_step_takes_one_gmres_iteration(self, mms_problem,
+                                                  monkeypatch, p, r):
+        # the backward-error stop: a relative-residual stop below the true
+        # residual's floor restarted GMRES up to GMRES_MAXITER times; the
+        # second iteration fails at once instead of waiting for that
+        _, data = mms_problem
+        gmres = timeloop.spla.gmres
+        iterations = []
+
+        def count(residual):
+            iterations.append(residual)
+            assert len(iterations) == 1, "a second GMRES iteration"
+
+        def counted_gmres(*args, **kwargs):
+            return gmres(*args, callback=count, callback_type="pr_norm",
+                         **kwargs)
+
+        monkeypatch.setattr(timeloop.spla, "gmres", counted_gmres)
+        scalar, flux = build_pair(distort(unit_square_mesh(4), 0.25, 1), p)
+        u0, _ = initial_coefficients(data, scalar, flux)
+        system = build_step_system(
+            1, build_basis(r), SystemMatrices(scalar, flux, data.diffusion),
+            data, u0, TimePartition.uniform(1.0, 160))
+        solve_step(system, strategy="schur")
+        assert len(iterations) == 1
 
 
 class TestAdvance:
@@ -562,14 +582,3 @@ class TestRun:
                 res = (matrices.mass_flux @ sol.flux_coeffs[n][i]
                        - matrices.div.T @ sol.scalar_coeffs[n][i])
                 assert np.max(np.abs(res)) < 1e-11
-
-    def test_checkpoint_roundtrip(self, tmp_path, mms_problem):
-        _, data = mms_problem
-        sol = run(data, unit_square_mesh(1), p=1, r=2, n_steps=3)
-        path = tmp_path / "ckpt.txt"
-        sol.dump_checkpoint(path)
-        scalars, fluxes = load_checkpoint(path)
-        assert len(scalars) == 3
-        for n in range(3):
-            assert np.array_equal(scalars[n], sol.scalar_coeffs[n])
-            assert np.array_equal(fluxes[n], sol.flux_coeffs[n])
