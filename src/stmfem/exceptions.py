@@ -21,20 +21,18 @@ class UnsupportedConfigurationError(Exception):
 
 
 class SolverFailureError(Exception):
-    """A solve failed at `interval`, in `stage` rhs/direct/schur/gmres.
+    """A solve failed at `interval`, in `stage` rhs/direct/schur.
 
     "rhs" means the right-hand side held a NaN or infinity, so nothing was
-    solved; the other stages missed their tolerance.  `residual` is the
-    normwise backward error against the interval's block matrix; on the
-    gmres stage `iterations` counts GMRES's products with that matrix.
+    solved; the other stages missed their tolerance after one refinement.
+    `residual` is the normwise backward error against the interval's block
+    matrix.
     """
 
-    def __init__(self, message, residual=None, iterations=None, interval=None,
-                 stage=None):
+    def __init__(self, message, residual=None, interval=None, stage=None):
         self.residual = residual
-        self.iterations = iterations
         self.interval = interval
         self.stage = stage
         if residual is not None:
-            message = f"{message} (relative residual {residual:.3e})"
+            message = f"{message} (backward error {residual:.3e})"
         super().__init__(message)

@@ -285,7 +285,8 @@ def _poly_problem():
     exact = st.ManufacturedSolution(scalar=u, flux=q, source=f, div_flux=div_q)
     data = ProblemData(diffusion=CoefficientField.identity(),
                        initial_scalar=lambda x: u(x, np.zeros(1))[0], source=f,
-                       final_time=1.0)
+                       final_time=1.0,
+                       initial_flux=lambda x: q(x, np.zeros(1))[0])
     return exact, data
 
 

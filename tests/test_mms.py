@@ -84,7 +84,8 @@ class TestErrorNorms:
         data = ProblemData(diffusion=CoefficientField.identity(),
                            initial_scalar=lambda x: np.zeros(len(np.atleast_2d(x))),
                            source=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
-                           final_time=1.0)
+                           final_time=1.0,
+                           initial_flux=lambda x: np.zeros((len(np.atleast_2d(x)), 2)))
         sol = run(data, st.unit_square_mesh(1), p=1, r=1, n_steps=2)
         zero = st.ManufacturedSolution(
             scalar=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),

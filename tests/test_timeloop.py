@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ def zero_scalar(x):
     return np.zeros(len(np.atleast_2d(x)))
 
 
+def zero_flux(x):
+    return np.zeros((len(np.atleast_2d(x)), 2))
+
+
 def zero_source(x, t):
     return np.zeros((len(t), len(np.atleast_2d(x))))
 
@@ -36,7 +41,7 @@ def zero_source(x, t):
 def zero_data():
     return ProblemData(diffusion=CoefficientField.identity(),
                        initial_scalar=zero_scalar, source=zero_source,
-                       final_time=1.0)
+                       final_time=1.0, initial_flux=zero_flux)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +71,8 @@ def poly_problem():
     exact = st.ManufacturedSolution(scalar=u, flux=q, source=f, div_flux=div_q)
     data = ProblemData(diffusion=CoefficientField.identity(),
                        initial_scalar=lambda x: u(x, np.zeros(1))[0], source=f,
-                       final_time=1.0)
+                       final_time=1.0,
+                       initial_flux=lambda x: q(x, np.zeros(1))[0])
     return exact, data
 
 
@@ -92,9 +98,10 @@ class TestInitialCoefficients:
                 out[inside] = eval_scalar(g, k, xhat[inside])
             return out
 
+        # only U^0 is checked, so the flux datum need not match u0
         data = ProblemData(diffusion=CoefficientField.identity(),
                            initial_scalar=u0, source=zero_source,
-                           final_time=1.0)
+                           final_time=1.0, initial_flux=zero_flux)
         got, _ = initial_coefficients(data, scalar, flux)
         assert np.max(np.abs(got - coef)) < 1e-12
 
@@ -118,23 +125,6 @@ class TestInitialCoefficients:
         _, q0 = initial_coefficients(data, scalar, flux)
         oracle = l2_project_flux(minus_grad, flux)
         assert np.max(np.abs(q0 - oracle.coefficients)) < 1e-11
-
-    def test_finite_difference_fallback(self):
-        # no initial_flux given: fallback differentiates u0 numerically
-        mesh = unit_square_mesh(1)
-        scalar, flux = build_pair(mesh, 1)
-        u0 = lambda x: np.atleast_2d(x)[:, 0] ** 2
-
-        def minus_grad(x):
-            x = np.atleast_2d(x)
-            return np.column_stack([-2 * x[:, 0], np.zeros(len(x))])
-
-        data = ProblemData(diffusion=CoefficientField.identity(),
-                           initial_scalar=u0, source=zero_source,
-                           final_time=1.0)
-        _, q0 = initial_coefficients(data, scalar, flux)
-        oracle = l2_project_flux(minus_grad, flux)
-        assert np.max(np.abs(q0 - oracle.coefficients)) < 1e-8
 
 
 class TestStepSystem:
@@ -232,64 +222,78 @@ class TestStepSystem:
             solve_step(system, strategy="schur")
         assert (err.value.interval, err.value.stage) == (3, "schur")
 
-    def test_gmres_failure_names_interval_and_stage(self, mms_problem,
-                                                     monkeypatch):
-        _, data = mms_problem
-        u0, _ = initial_coefficients(data, self.scalar, self.flux)
-        system = build_step_system(4, self.basis, self.matrices, data, u0,
-                                   self.partition)
-        applications = 3
-
-        def failing_gmres(op, b, **kw):
-            for _ in range(applications):
-                op.matvec(b)
-            return np.zeros_like(b), 7
-
-        monkeypatch.setattr(timeloop.spla, "gmres", failing_gmres)
-        with pytest.raises(SolverFailureError) as err:
-            solve_step(system, strategy="schur")
-        assert (err.value.interval, err.value.stage) == (4, "gmres")
-        assert err.value.iterations == applications
-
     @pytest.mark.parametrize("misses, solves", [(0, 1), (1, 2)])
-    def test_refines_only_when_one_solve_misses(self, mms_problem, misses,
-                                                solves):
+    @pytest.mark.parametrize("strategy", ["direct", "schur"])
+    def test_refines_only_when_one_solve_misses(self, mms_problem, monkeypatch,
+                                                strategy, misses, solves):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
-        lu = _PerturbedLU(system.operator.lu, eps=1e-4, misses=misses)
-        system.operator.lu = lu
-        U, Q = solve_step(system, strategy="direct")
-        assert lu.calls == solves
+        calls = _perturb_solves(monkeypatch, system, strategy, eps=1e-4,
+                                misses=misses)
+        U, Q = solve_step(system, strategy=strategy)
+        assert len(calls) == solves
         dense = np.linalg.solve(system.operator.matrix.toarray(), system.rhs)
         got = np.concatenate([U.ravel(), Q.ravel()])
         assert np.max(np.abs(got - dense)) < 1e-10
 
-    def test_refinement_miss_raises(self, mms_problem):
+    @pytest.mark.parametrize("strategy", ["direct", "schur"])
+    def test_refinement_miss_raises(self, mms_problem, monkeypatch, strategy):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
-        lu = _PerturbedLU(system.operator.lu, eps=1e-3, misses=2)
-        system.operator.lu = lu
+        calls = _perturb_solves(monkeypatch, system, strategy, eps=1e-3,
+                                misses=2)
         with pytest.raises(SolverFailureError) as err:
-            solve_step(system, strategy="direct")
-        assert lu.calls == 2
-        assert (err.value.interval, err.value.stage) == (2, "direct")
+            solve_step(system, strategy=strategy)
+        assert len(calls) == 2
+        assert (err.value.interval, err.value.stage) == (2, strategy)
 
 
-class _PerturbedLU:
-    """Exact LU solves, scaled by 1 + eps on the first `misses` calls."""
+def _perturb_solves(monkeypatch, system, strategy, eps, misses):
+    """Make the first `misses` solves of `strategy` miss by eps relative.
 
-    def __init__(self, lu, eps, misses):
-        self.lu, self.eps, self.misses = lu, eps, misses
-        self.calls = 0
+    A perturbed solution is multiplied entrywise by 1 +- eps with fixed
+    signs, not by one factor: a GMRES step would absorb a scale factor.
+    `direct` perturbs its condensed solves; `schur` perturbs its
+    preconditioner throughout each of its first `misses` GMRES calls.
+    Returns one entry per solve: 1 for `direct`, the GMRES call's iteration
+    count for `schur`.
+    """
+    op = system.operator
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], len(system.rhs))
+    calls = []
 
-    def solve(self, rhs):
-        self.calls += 1
-        x = self.lu.solve(rhs)
-        return x * (1.0 + self.eps) if self.calls <= self.misses else x
+    def perturbed(solve):
+        def apply(b):
+            x = solve(b)
+            return x * (1.0 + eps * signs) if len(calls) <= misses else x
+        return apply
+
+    if strategy == "direct":
+        solve = perturbed(op.lu.solve)
+
+        def counted(b):
+            calls.append(1)
+            return solve(b)
+
+        op.lu = SimpleNamespace(solve=counted)
+    else:
+        op.schur_preconditioner = perturbed(op.schur_preconditioner)
+        gmres = timeloop.spla.gmres
+
+        def count(_residual):
+            calls[-1] += 1
+
+        def counted_gmres(*args, **kwargs):
+            calls.append(0)
+            return gmres(*args, callback=count, callback_type="pr_norm",
+                         **kwargs)
+
+        monkeypatch.setattr(timeloop.spla, "gmres", counted_gmres)
+    return calls
 
 
 def _count_splu(monkeypatch):
@@ -419,9 +423,8 @@ class TestCondensedSolve:
     @pytest.mark.parametrize("p, r", [(2, 2), (1, 5)])
     def test_schur_step_takes_one_gmres_iteration(self, mms_problem,
                                                   monkeypatch, p, r):
-        # the backward-error stop: a relative-residual stop below the true
-        # residual's floor restarted GMRES up to GMRES_MAXITER times; the
-        # second iteration fails at once instead of waiting for that
+        # the exact preconditioner leaves nothing to refine: a second GMRES
+        # iteration, or a refinement's call, fails at once
         _, data = mms_problem
         gmres = timeloop.spla.gmres
         iterations = []
@@ -442,6 +445,23 @@ class TestCondensedSolve:
             data, u0, TimePartition.uniform(1.0, 160))
         solve_step(system, strategy="schur")
         assert len(iterations) == 1
+
+    def test_stalled_schur_step_fails_after_two_gmres_steps(self, mms_problem,
+                                                             monkeypatch):
+        # a preconditioner off by 1e-3 everywhere: one step and its
+        # refinement both miss, and each GMRES call stops after one iteration
+        _, data = mms_problem
+        scalar, flux = build_pair(distort(unit_square_mesh(2), 0.25, 1), 2)
+        u0, _ = initial_coefficients(data, scalar, flux)
+        system = build_step_system(
+            1, build_basis(2), SystemMatrices(scalar, flux, data.diffusion),
+            data, u0, TimePartition.uniform(1.0, 20))
+        calls = _perturb_solves(monkeypatch, system, "schur", eps=1e-3,
+                                misses=np.inf)
+        with pytest.raises(SolverFailureError) as err:
+            solve_step(system, strategy="schur")
+        assert (err.value.interval, err.value.stage) == (1, "schur")
+        assert calls == [1, 1]
 
 
 class TestAdvance:
