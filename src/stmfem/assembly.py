@@ -30,6 +30,13 @@ from .mesh import bilinear_map
 from .quadrature import TensorRule2D, tensor_unit
 from .spaces import FluxSpace
 
+# SuperLU options for the symmetric systems the package factors: the flux
+# mass and the condensed edge systems of the interval solvers.  A minimum
+# degree ordering of A + A^T with diagonal pivots about halves the fill of
+# the default COLAMD ordering with partial pivoting.
+SYMMETRIC_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+
 
 class CoefficientField:
     """Symmetric positive definite diffusion tensor D(x)."""
@@ -126,7 +133,7 @@ class Evaluation:
     """
 
     rule: TensorRule2D     # the reference rule the tables were built from
-    points: np.ndarray     # (nc * nq, 2) physical points
+    points: np.ndarray     # (nc * nq, 2) physical points, read-only
     weights: np.ndarray    # (nc * nq,) rule weight times det J
     cell_dofs: np.ndarray  # (nc, n_local) global dof of each table column
     n_dofs: int
@@ -162,6 +169,7 @@ def evaluation(space, order=None):
     rule = tensor_unit(order)
     geometry = cell_geometry(space.mesh, rule)
     phys, _, det = geometry
+    phys.flags.writeable = False    # exact fields may cache values at them
     if isinstance(space, FluxSpace):
         vals, divs, _ = piola_values(space, rule, geometry)
         nc, nq, nl, _ = vals.shape

@@ -291,16 +291,20 @@ def l2_project_scalar(g, space):
 
 
 def l2_project_flux(g, space):
-    """L2 projection onto the flux space; one global mass solve."""
+    """L2 projection onto the flux space; one global mass solve.
+
+    The flux mass is SPD, so it is factored with `assembly.SYMMETRIC_SPLU`
+    (minimum degree ordering of A + A^T, diagonal pivots).
+    """
     if not isinstance(space, FluxSpace):
         raise TypeError("l2_project_flux needs a flux space")
     from . import assembly
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import splu
 
     mass = assembly.assemble_weighted_mass_flux(
         space, assembly.CoefficientField.identity())
     rhs = assembly.assemble_flux_moments(space, g)
-    coef = spsolve(mass.tocsc(), rhs)
+    coef = splu(mass.tocsc(), **assembly.SYMMETRIC_SPLU).solve(rhs)
     return FeFunction(space=space, coefficients=coef)
 
 

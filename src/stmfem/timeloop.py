@@ -104,7 +104,7 @@ class IntervalOperator:
             blocks[i][r + i] = (tau * beta[i]) * matrices.div
             blocks[r + i][i] = -matrices.div.T
             blocks[r + i][r + i] = matrices.mass_flux
-        self.matrix = sp.bmat(blocks, format="csc")
+        self.matrix = sp.bmat(blocks, format="csr")
         self.norm = spla.norm(self.matrix)
 
     @cached_property
@@ -130,7 +130,7 @@ class IntervalOperator:
         real = lam[keep].imag == 0
         shifts = [lk.real if rk else lk for lk, rk in zip(lam[keep], real)]
         factors = [CondensedLU(sp.bmat([[s * m.mass_scalar, tau * m.div],
-                                        [-m.div.T, m.mass_flux]], format="csc"),
+                                        [-m.div.T, m.mass_flux]], format="csr"),
                                m, 1) for s in shifts]
         project = np.linalg.inv(vecs)[keep]                  # (K, r)
         combine = vecs[:, keep] * np.where(real, 1.0, 2.0)   # (r, K)
@@ -154,6 +154,13 @@ class CondensedLU:
     couple only within the cell, so A_II is block diagonal and is inverted
     cell by cell; only the Schur complement on the edge moments (set G),
     A_GG - A_GI A_II^-1 A_IG, is factored.
+
+    That complement is structurally symmetric, and SPD for r = 1 and for
+    every real shift of the schur solver, so it is factored with
+    `assembly.SYMMETRIC_SPLU`: a minimum degree ordering of S + S^T and
+    diagonal pivots, with about half the fill of COLAMD and partial
+    pivoting.  Without numerical pivoting nothing guards the coupled and
+    complex-shifted systems but the backward-error check of `_solve`.
     """
 
     def __init__(self, matrix, matrices, r):
@@ -181,7 +188,8 @@ class CondensedLU:
         self.a_gi = a_g[:, self.interior]
         self.elim = self.a_ii_inv @ a_i[:, self.edge]    # A_II^{-1} A_IG
         self.edge_lu = spla.splu(
-            (a_g[:, self.edge] - self.a_gi @ self.elim).tocsc())
+            (a_g[:, self.edge] - self.a_gi @ self.elim).tocsc(),
+            **assembly.SYMMETRIC_SPLU)
 
     def solve(self, rhs):
         y = self.a_ii_inv @ rhs[self.interior]

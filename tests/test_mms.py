@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import stmfem as st
-from stmfem.assembly import CoefficientField
+from stmfem.assembly import CoefficientField, evaluation
 from stmfem.exceptions import UnsupportedConfigurationError
 from stmfem.mesh import distort, level_seed
 from stmfem.mms import eoc, error_q_V, error_u, mms_standard
@@ -77,6 +77,35 @@ class TestManufacturedSolution:
         base = mms_standard(CoefficientField.identity())
         t = np.array([0.21])
         assert_allclose(exact.flux(x, t), 3.0 * base.flux(x, t), rtol=1e-13)
+
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_points_changed_in_place_are_evaluated_afresh(self,
+                                                         read_only_view):
+        # the fields cache their spatial factors only for point arrays that
+        # no array can write; a read-only view of a writeable array is not one
+        exact = mms_standard(CoefficientField.identity())
+        fields = (exact.scalar, exact.flux, exact.source, exact.div_flux)
+        t = np.array([0.3, 0.8])
+        base = np.random.default_rng(3).uniform(0, 1, (6, 2))
+        x = base.view()
+        x.flags.writeable = not read_only_view
+        for f in fields:
+            f(x, t)
+        base[:] = base[::-1]
+        for f in fields:
+            assert np.array_equal(f(x, t), f(base.copy(), t))
+
+    def test_cached_points_give_the_same_values(self):
+        # Evaluation.points is read-only, so it is cached; the arithmetic is
+        # that of a fresh evaluation, bit for bit
+        exact = mms_standard(CoefficientField.identity())
+        flux_space = st.build_pair(distort(st.unit_square_mesh(2), 0.2, 3), 1)[1]
+        points = evaluation(flux_space).points
+        assert not points.flags.writeable
+        for f in (exact.scalar, exact.flux, exact.source, exact.div_flux):
+            for t in (np.array([0.1]), np.array([0.2, 0.7])):
+                assert np.array_equal(f(points, t), f(points.copy(), t))
 
 
 class TestErrorNorms:

@@ -129,6 +129,20 @@ def test_test_basis_r1_constant():
     assert_allclose(vals, np.ones(3), rtol=1e-15)
 
 
+@pytest.mark.parametrize("r, min_real, cond", [
+    (1, 2.0, 1.0), (2, 3.0, 3.7321), (3, 3.6778, 12.838), (4, 4.2076, 45.585),
+    (5, 4.6493, 165.00)])
+def test_decoupled_shifts(r, min_real, cond):
+    # the schur solver diagonalizes diag(beta)^-1 alpha[:, 1:] = V diag(lam)
+    # V^-1 with V as np.linalg.eig returns it.  Every Re(lam) > 0, so each
+    # shifted system [lam M_W, tau B; -B^T, M_D] is uniquely solvable for
+    # tau > 0 on any mesh; cond(V) bounds the rounding the decoupling adds.
+    basis = build_basis(r)
+    lam, vecs = np.linalg.eig(basis.alpha[:, 1:] / basis.beta[:, None])
+    assert lam.real.min() == pytest.approx(min_real, abs=1e-4)
+    assert np.linalg.cond(vecs) == pytest.approx(cond, rel=1e-4)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_invalid_degree_rejected(r):
     for bad in (0, 6, -1):

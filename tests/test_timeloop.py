@@ -3,13 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings, strategies as hst
 from numpy.testing import assert_allclose
 
 import stmfem as st
 from stmfem import timeloop
 from stmfem.assembly import CoefficientField, assemble_load
-from stmfem.exceptions import SolverFailureError
+from stmfem.exceptions import InvalidMeshError, SolverFailureError
 from stmfem.mesh import distort, unit_square_mesh
 from stmfem.spaces import build_pair, eval_scalar, l2_project_flux, FeFunction
 from stmfem.timebasis import TimePartition, build_basis
@@ -297,7 +298,8 @@ def _perturb_solves(monkeypatch, system, strategy, eps, misses):
 
 
 def _count_splu(monkeypatch):
-    """Record the shape of every matrix timeloop factors."""
+    """Record the shape of every matrix scipy's splu factors: timeloop's
+    edge systems and the initial flux projection's mass."""
     calls = []
     splu = timeloop.spla.splu
 
@@ -335,13 +337,15 @@ class TestFactorizations:
         calls = _count_splu(monkeypatch)
         run(data, mesh, p=1, r=r, n_steps=10, solver=solver)
         flux = build_pair(mesh, 1)[1]
-        n_edge = flux.n_edge_dofs
+        n_flux, n_edge = flux.n_dofs, flux.n_edge_dofs
+        # the initial flux projection factors the flux mass first
         if solver == "direct":
             # only the system in the edge flux moments is factored
-            assert calls == [(r * n_edge, r * n_edge)]
+            assert calls == [(n_flux, n_flux), (r * n_edge, r * n_edge)]
         else:
             # one edge system per real eigenvalue or conjugate pair
-            assert calls == [(n_edge, n_edge)] * ((r + 1) // 2)
+            assert calls == ([(n_flux, n_flux)]
+                             + [(n_edge, n_edge)] * ((r + 1) // 2))
 
     def test_distinct_steps_get_their_own_factor(self, mms_problem,
                                                  monkeypatch):
@@ -360,7 +364,23 @@ class TestFactorizations:
             got = np.concatenate([U.ravel(), Q.ravel()])
             assert np.max(np.abs(got - dense)) < 1e-10
             u0 = endpoint_value(basis, np.vstack([u0[None, :], U]))
-        assert len(calls) == 2
+        # the flux projection's mass, then one edge system per step size
+        n_edge = 2 * flux.n_edge_dofs
+        assert calls == [(flux.n_dofs, flux.n_dofs)] + [(n_edge, n_edge)] * 2
+
+    def test_edge_factor_fill(self):
+        # the symmetric ordering against scipy's default COLAMD with partial
+        # pivoting, on the same condensed matrix (the ratio is 0.51 here,
+        # about 0.73 on L3, where the edge system is smaller)
+        scalar, flux = build_pair(unit_square_mesh(4), 2)
+        matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
+        op = matrices.operator(build_basis(2), 0.1)
+        lu = op.lu
+        edge_rows = op.matrix[lu.edge]
+        default = scipy.sparse.linalg.splu(
+            (edge_rows[:, lu.edge] - lu.a_gi @ lu.elim).tocsc())
+        fill = lu.edge_lu.L.nnz + lu.edge_lu.U.nnz
+        assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
 def _random_step(zero_data, p, r, distortion, seed):
@@ -385,6 +405,16 @@ def _backward_error(A, x, b):
 _step_cases = given(p=hst.integers(0, 4), r=hst.integers(1, 5),
                     distortion=hst.floats(0.0, 0.45, exclude_max=True),
                     seed=hst.integers(0, 2**32 - 1))
+
+
+def _rotated_diffusion(angle, ratio):
+    """The constant tensor R diag(1, ratio) R^T, R the rotation by angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    D = rot @ np.diag([1.0, ratio]) @ rot.T
+    D = 0.5 * (D + D.T)
+    return CoefficientField(
+        lambda x: np.repeat(D[None], len(np.atleast_2d(x)), axis=0))
 
 
 class TestCondensedSolve:
@@ -419,6 +449,31 @@ class TestCondensedSolve:
         x = system.operator.schur_preconditioner(b)
         assert x.dtype == np.float64
         assert _backward_error(A, x, b) <= 1e-14
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(p=hst.integers(0, 3), r=hst.integers(1, 5),
+           distortion=hst.floats(0.0, 0.45, exclude_max=True),
+           seed=hst.integers(0, 2**32 - 1), log_tau=hst.floats(-6.0, 0.0),
+           angle=hst.floats(0.0, np.pi), log_ratio=hst.floats(0.0, 4.0))
+    def test_one_symmetric_mode_solve_meets_tolerance(
+            self, p, r, distortion, seed, log_tau, angle, log_ratio):
+        # the edge systems are factored with diagonal pivots only; one solve
+        # of either solver must still meet the tolerance without refinement,
+        # for tiny steps and strongly anisotropic diffusion
+        try:
+            mesh = distort(unit_square_mesh(2), distortion, seed)
+        except InvalidMeshError:
+            assume(False)
+        scalar, flux = build_pair(mesh, p)
+        matrices = SystemMatrices(scalar, flux,
+                                  _rotated_diffusion(angle, 10.0**log_ratio))
+        op = matrices.operator(build_basis(r), 10.0**log_tau)
+        b = np.random.default_rng(seed).standard_normal(op.matrix.shape[0])
+        for inverse in (op.lu.solve, op.schur_preconditioner):
+            x = inverse(b)
+            error = np.linalg.norm(op.matrix @ x - b) / (
+                op.norm * np.linalg.norm(x) + np.linalg.norm(b))
+            assert error <= 1e-12
 
     @pytest.mark.parametrize("p, r", [(2, 2), (1, 5)])
     def test_schur_step_takes_one_gmres_iteration(self, mms_problem,
