@@ -225,14 +225,13 @@ class TestStepSystem:
 
     @pytest.mark.parametrize("misses, solves", [(0, 1), (1, 2)])
     @pytest.mark.parametrize("strategy", ["direct", "schur"])
-    def test_refines_only_when_one_solve_misses(self, mms_problem, monkeypatch,
-                                                strategy, misses, solves):
+    def test_refines_only_when_one_solve_misses(self, mms_problem, strategy,
+                                                misses, solves):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
-        calls = _perturb_solves(monkeypatch, system, strategy, eps=1e-4,
-                                misses=misses)
+        calls = _perturb_solves(system, strategy, eps=1e-4, misses=misses)
         U, Q = solve_step(system, strategy=strategy)
         assert len(calls) == solves
         dense = np.linalg.solve(system.operator.matrix.toarray(), system.rhs)
@@ -240,60 +239,57 @@ class TestStepSystem:
         assert np.max(np.abs(got - dense)) < 1e-10
 
     @pytest.mark.parametrize("strategy", ["direct", "schur"])
-    def test_refinement_miss_raises(self, mms_problem, monkeypatch, strategy):
+    def test_refinement_miss_raises(self, mms_problem, strategy):
         _, data = mms_problem
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
-        calls = _perturb_solves(monkeypatch, system, strategy, eps=1e-3,
-                                misses=2)
+        calls = _perturb_solves(system, strategy, eps=1e-3, misses=2)
         with pytest.raises(SolverFailureError) as err:
             solve_step(system, strategy=strategy)
         assert len(calls) == 2
         assert (err.value.interval, err.value.stage) == (2, strategy)
 
 
-def _perturb_solves(monkeypatch, system, strategy, eps, misses):
+def _perturb_solves(system, strategy, eps, misses):
     """Make the first `misses` solves of `strategy` miss by eps relative.
 
     A perturbed solution is multiplied entrywise by 1 +- eps with fixed
-    signs, not by one factor: a GMRES step would absorb a scale factor.
-    `direct` perturbs its condensed solves; `schur` perturbs its
-    preconditioner throughout each of its first `misses` GMRES calls.
-    Returns one entry per solve: 1 for `direct`, the GMRES call's iteration
-    count for `schur`.
+    signs, an error that one GMRES step along the residual does not remove.
+    `direct` perturbs its condensed solves; `schur` its decoupled solves,
+    each of which starts one GMRES step.  Returns one entry per solve.
     """
     op = system.operator
     signs = np.random.default_rng(0).choice([-1.0, 1.0], len(system.rhs))
     calls = []
 
-    def perturbed(solve):
+    def counted(solve):
         def apply(b):
+            calls.append(1)
             x = solve(b)
             return x * (1.0 + eps * signs) if len(calls) <= misses else x
         return apply
 
     if strategy == "direct":
-        solve = perturbed(op.lu.solve)
-
-        def counted(b):
-            calls.append(1)
-            return solve(b)
-
-        op.lu = SimpleNamespace(solve=counted)
+        op.lu = SimpleNamespace(solve=counted(op.lu.solve))
     else:
-        op.schur_preconditioner = perturbed(op.schur_preconditioner)
-        gmres = timeloop.spla.gmres
+        op.schur_preconditioner = counted(op.schur_preconditioner)
+    return calls
 
-        def count(_residual):
-            calls[-1] += 1
 
-        def counted_gmres(*args, **kwargs):
-            calls.append(0)
-            return gmres(*args, callback=count, callback_type="pr_norm",
-                         **kwargs)
+def _count_gmres(monkeypatch):
+    """Record the iteration count of every GMRES call timeloop makes."""
+    calls = []
+    gmres = timeloop.spla.gmres
 
-        monkeypatch.setattr(timeloop.spla, "gmres", counted_gmres)
+    def count(_residual):
+        calls[-1] += 1
+
+    def counted_gmres(*args, **kwargs):
+        calls.append(0)
+        return gmres(*args, callback=count, callback_type="pr_norm", **kwargs)
+
+    monkeypatch.setattr(timeloop.spla, "gmres", counted_gmres)
     return calls
 
 
@@ -478,32 +474,23 @@ class TestCondensedSolve:
     @pytest.mark.parametrize("p, r", [(2, 2), (1, 5)])
     def test_schur_step_takes_one_gmres_iteration(self, mms_problem,
                                                   monkeypatch, p, r):
-        # the exact preconditioner leaves nothing to refine: a second GMRES
-        # iteration, or a refinement's call, fails at once
+        # the exact decoupled start leaves nothing to refine: the step applies
+        # it once and takes one GMRES iteration, with no refinement
         _, data = mms_problem
-        gmres = timeloop.spla.gmres
-        iterations = []
-
-        def count(residual):
-            iterations.append(residual)
-            assert len(iterations) == 1, "a second GMRES iteration"
-
-        def counted_gmres(*args, **kwargs):
-            return gmres(*args, callback=count, callback_type="pr_norm",
-                         **kwargs)
-
-        monkeypatch.setattr(timeloop.spla, "gmres", counted_gmres)
+        iterations = _count_gmres(monkeypatch)
         scalar, flux = build_pair(distort(unit_square_mesh(4), 0.25, 1), p)
         u0, _ = initial_coefficients(data, scalar, flux)
         system = build_step_system(
             1, build_basis(r), SystemMatrices(scalar, flux, data.diffusion),
             data, u0, TimePartition.uniform(1.0, 160))
+        solves = _perturb_solves(system, "schur", eps=0.0, misses=0)
         solve_step(system, strategy="schur")
-        assert len(iterations) == 1
+        assert len(solves) == 1
+        assert iterations == [1]
 
     def test_stalled_schur_step_fails_after_two_gmres_steps(self, mms_problem,
                                                              monkeypatch):
-        # a preconditioner off by 1e-3 everywhere: one step and its
+        # decoupled solves off by 1e-3 everywhere: one step and its
         # refinement both miss, and each GMRES call stops after one iteration
         _, data = mms_problem
         scalar, flux = build_pair(distort(unit_square_mesh(2), 0.25, 1), 2)
@@ -511,12 +498,29 @@ class TestCondensedSolve:
         system = build_step_system(
             1, build_basis(2), SystemMatrices(scalar, flux, data.diffusion),
             data, u0, TimePartition.uniform(1.0, 20))
-        calls = _perturb_solves(monkeypatch, system, "schur", eps=1e-3,
-                                misses=np.inf)
+        iterations = _count_gmres(monkeypatch)
+        solves = _perturb_solves(system, "schur", eps=1e-3, misses=np.inf)
         with pytest.raises(SolverFailureError) as err:
             solve_step(system, strategy="schur")
         assert (err.value.interval, err.value.stage) == (1, "schur")
-        assert calls == [1, 1]
+        assert len(solves) == 2
+        assert iterations == [1, 1]
+
+    def test_exact_schur_start_is_returned_unchanged(self, monkeypatch):
+        # b = A x and a decoupled solve that returns x: GMRES starts from a
+        # zero residual and must return x as it is, without dividing by
+        # that residual's norm (any warning fails under the suite's filter)
+        scalar, flux = build_pair(distort(unit_square_mesh(1), 0.25, 1), 1)
+        matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
+        op = matrices.operator(build_basis(2), 0.1)
+        x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
+        system = timeloop.StepSystem(interval=0, basis=op.basis,
+                                     matrices=matrices, rhs=op.matrix @ x,
+                                     operator=op)
+        monkeypatch.setattr(op, "schur_preconditioner", lambda b: x.copy())
+        U, Q = solve_step(system, strategy="schur")
+        np.testing.assert_array_equal(np.concatenate([U.ravel(), Q.ravel()]),
+                                      x)
 
 
 class TestAdvance:
