@@ -1,25 +1,20 @@
 """Space-time solver: continuous Galerkin-Petrov in time, mixed FEM in space."""
 
-from .assembly import CoefficientField
-from .mesh import QuadMesh, distort, h_max, unit_square_mesh, validity_check
-from .mms import ManufacturedSolution, eoc, error_q_V, error_u, mms_standard
-from .quadrature import gauss_legendre, gauss_legendre_unit, map_to_unit, tensor
-from .spaces import (
-    FeFunction,
-    build_pair,
-    eval_div_flux,
-    eval_flux,
-    eval_scalar,
+from .assembly import (
+    CoefficientField,
     l2_project_flux,
     l2_project_scalar,
     rt_interpolate,
 )
+from .mesh import QuadMesh, distort, h_max, unit_square_mesh, validity_check
+from .mms import ManufacturedSolution, eoc, error_q_V, error_u, mms_standard
+from .quadrature import gauss_legendre, gauss_legendre_unit, map_to_unit, tensor
+from .spaces import build_pair
 from .timebasis import TemporalBasis, TimePartition, build_basis
 from .timeloop import ProblemData, SpaceTimeSolution, run
 
 __all__ = [
     "CoefficientField",
-    "FeFunction",
     "ManufacturedSolution",
     "ProblemData",
     "QuadMesh",
@@ -32,9 +27,6 @@ __all__ = [
     "eoc",
     "error_q_V",
     "error_u",
-    "eval_div_flux",
-    "eval_flux",
-    "eval_scalar",
     "gauss_legendre",
     "gauss_legendre_unit",
     "h_max",

@@ -1,4 +1,4 @@
-"""Sparse assembly of the scheme's bilinear forms and load vectors.
+"""Sparse assembly of the scheme's forms and loads; projections and interpolant.
 
 Three time-independent matrices drive the whole run:
 
@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .exceptions import InvalidCoefficientError, InvalidMeshError
 from .mesh import bilinear_map
-from .quadrature import TensorRule2D, tensor_unit
-from .spaces import FluxSpace
+from .quadrature import TensorRule2D, gauss_legendre_unit, tensor, tensor_unit
+from .spaces import FluxSpace, ScalarSpace
 
 # SuperLU options for the symmetric systems the package factors: the flux
 # mass and the condensed edge systems of the interval solvers.  A minimum
@@ -263,3 +264,64 @@ def assemble_flux_moments(space, g):
     data = ev.weights[:, None] * g(ev.points)
     return ev.apply_transposed(ev.values, data)[:, 0]
 
+
+def l2_project_scalar(g, space):
+    """L2 projection onto the scalar space, cell by cell; returns coefficients."""
+    if not isinstance(space, ScalarSpace):
+        raise TypeError("l2_project_scalar needs a scalar space")
+    ev = evaluation(space)
+    phi = ev.values[0]  # the reference table, the same on every cell
+    wdet = ev.weights.reshape(space.mesh.n_cells, -1)
+    gram = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
+    rhs = ev.apply_transposed(ev.values, ev.weights * g(ev.points))
+    local = np.linalg.solve(gram, rhs[space.cell_dofs])[:, :, 0]
+    coef = np.empty(space.n_dofs)
+    coef[space.cell_dofs] = local
+    return coef
+
+
+def l2_project_flux(g, space):
+    """L2 projection onto the flux space by one global mass solve; returns
+    coefficients.
+
+    The flux mass is SPD, so it is factored with `SYMMETRIC_SPLU` (minimum
+    degree ordering of A + A^T, diagonal pivots).
+    """
+    if not isinstance(space, FluxSpace):
+        raise TypeError("l2_project_flux needs a flux space")
+    mass = assemble_weighted_mass_flux(space, CoefficientField.identity())
+    rhs = assemble_flux_moments(space, g)
+    return spla.splu(mass.tocsc(), **SYMMETRIC_SPLU).solve(rhs)
+
+
+def rt_interpolate(g, space, order=None):
+    """Canonical Raviart-Thomas interpolant, from edge and interior moments;
+    returns coefficients.
+
+    Edge moments integrate g . n against shifted Legendre weights along each
+    edge (arclength measure); interior moments are taken on the reference
+    cell after the inverse Piola pullback, which is exactly what makes the
+    divergence of the interpolation error orthogonal to the scalar space.
+    Both use `order` Gauss points per direction (p + 3 by default).
+    """
+    if not isinstance(space, FluxSpace):
+        raise TypeError("rt_interpolate needs a flux space")
+    mesh = space.mesh
+    rule_1d = gauss_legendre_unit(space.p + 3 if order is None else order)
+    edge_w, interior_w = space.ref.dof_weights(rule_1d)
+    coef = np.empty(space.n_dofs)
+    start, end, normal = mesh.edge_frames()
+    pts = start[:, None, :] + rule_1d.points[:, None] * (end - start)[:, None, :]
+    gn = np.einsum("eqd,ed->eq", g(pts.reshape(-1, 2)).reshape(pts.shape), normal)
+    length = np.linalg.norm(end - start, axis=1)
+    coef[:space.n_edge_dofs] = (length[:, None] * (gn @ edge_w)).ravel()
+    if space.ref.n_interior_dofs:
+        phys, J, _ = cell_geometry(mesh, tensor(rule_1d, rule_1d))
+        gv = g(phys.reshape(-1, 2)).reshape(phys.shape)
+        # inverse Piola: det J * J^{-1} g
+        ghat = np.empty_like(gv)
+        ghat[..., 0] = J[..., 1, 1] * gv[..., 0] - J[..., 0, 1] * gv[..., 1]
+        ghat[..., 1] = -J[..., 1, 0] * gv[..., 0] + J[..., 0, 0] * gv[..., 1]
+        coef[space.n_edge_dofs:] = np.einsum("iqd,cqd->ci", interior_w,
+                                             ghat).ravel()
+    return coef

@@ -10,7 +10,7 @@ import hashlib
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import mesh as meshmod
 from . import spaces, timebasis
@@ -80,7 +80,6 @@ class RunRecord:
 
     config: ExperimentConfig
     report: ErrorReport
-    wall_clock: list = field(default_factory=list)
     config_hash: str = ""
 
 
@@ -105,7 +104,7 @@ def run_convergence(config, progress=None):
         initial_flux=exact.initial_flux(),
     )
     levels, steps, taus, cells, hs, ndofs = [], [], [], [], [], []
-    err_us, err_qs, walls = [], [], []
+    err_us, err_qs = [], []
     for level in config.levels():
         t0 = time.perf_counter()
         m = build_level_mesh(config, level)
@@ -125,12 +124,11 @@ def run_convergence(config, progress=None):
         hs.append(meshmod.h_max(m))
         err_us.append(eu)
         err_qs.append(eq)
-        walls.append(time.perf_counter() - t0)
         if progress is not None:
-            progress(level, eu, eq, walls[-1])
+            progress(level, eu, eq, time.perf_counter() - t0)
     report = ErrorReport.from_errors(levels, steps, taus, cells, hs, ndofs,
                                      err_us, err_qs)
-    return RunRecord(config=config, report=report, wall_clock=walls,
+    return RunRecord(config=config, report=report,
                      config_hash=config.reproducibility_hash())
 
 
@@ -157,22 +155,6 @@ def to_csv(record):
             _fmt(rep.err_q[i]), _fmt_eoc(rep.eoc_q[i]),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text):
-    """Parse a to_csv table back into a dict of column lists."""
-    lines = [l for l in text.strip().splitlines() if l]
-    header = lines[0].split(",")
-    out = {h: [] for h in header}
-    for line in lines[1:]:
-        for h, tok in zip(header, line.split(",")):
-            if h in ("level", "N", "cells", "ndof"):
-                out[h].append(int(tok))
-            elif h.startswith("eoc"):
-                out[h].append(None if tok == "" else float(tok))
-            else:
-                out[h].append(float(tok))
-    return out
 
 
 def to_markdown(record):

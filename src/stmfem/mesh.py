@@ -47,41 +47,6 @@ def bilinear_map(corners, xhat):
 
 
 @dataclass(frozen=True)
-class CellMap:
-    """Bilinear map from the reference square [0, 1]^2 onto one cell."""
-
-    cell: int
-    corners: np.ndarray  # (4, 2), counterclockwise
-
-    def map(self, xhat):
-        """Physical coordinates of reference points xhat, shape (npts, 2)."""
-        return bilinear_map(self.corners[None], xhat)[0][0]
-
-    def jacobian(self, xhat):
-        """Jacobian matrices and determinants at reference points.
-
-        Returns (J, det) with J of shape (npts, 2, 2) and det of shape (npts,).
-        """
-        _, J, det = bilinear_map(self.corners[None], xhat)
-        return J[0], det[0]
-
-    def inverse(self, x, tol=1e-13):
-        """Reference coordinates of physical points x by Newton iteration."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        xhat = np.full_like(x, 0.5)
-        for _ in range(50):
-            r = self.map(xhat) - x
-            if np.max(np.abs(r)) < tol:
-                break
-            J, det = self.jacobian(xhat)
-            dx = np.empty_like(r)
-            dx[:, 0] = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
-            dx[:, 1] = (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / det
-            xhat -= dx
-        return xhat
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     ok: bool
     min_det: float
@@ -144,11 +109,6 @@ class QuadMesh:
     @property
     def n_edges(self):
         return len(self.edge_vertices)
-
-    def cell_map(self, k):
-        if not 0 <= k < self.n_cells:
-            raise ValueError(f"cell index {k} out of range")
-        return CellMap(cell=k, corners=self.vertices[self.cells[k]])
 
     def cell_corner_array(self):
         """Corner coordinates of all cells, shape (nc, 4, 2)."""

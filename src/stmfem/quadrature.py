@@ -19,13 +19,6 @@ class GaussRule1D:
     weights: np.ndarray
     interval: tuple
 
-    @property
-    def n(self):
-        return len(self.points)
-
-    def integrate(self, f):
-        return float(np.dot(self.weights, f(self.points)))
-
 
 @dataclass(frozen=True)
 class TensorRule2D:
@@ -34,14 +27,8 @@ class TensorRule2D:
     Point k = iy * nx + ix runs with the x index fastest.
     """
 
-    rule_x: GaussRule1D
-    rule_y: GaussRule1D
     points: np.ndarray   # (nx * ny, 2)
     weights: np.ndarray  # (nx * ny,)
-
-    @property
-    def n(self):
-        return len(self.weights)
 
 
 def _legendre_and_deriv(n, x):
@@ -108,7 +95,7 @@ def tensor(rule_x, rule_y):
     X, Y = np.meshgrid(rule_x.points, rule_y.points)
     pts = np.column_stack([X.ravel(), Y.ravel()])
     wts = np.outer(rule_y.weights, rule_x.weights).ravel()
-    return TensorRule2D(rule_x=rule_x, rule_y=rule_y, points=pts, weights=wts)
+    return TensorRule2D(points=pts, weights=wts)
 
 
 def tensor_unit(n):

@@ -1,5 +1,6 @@
 """Discrete space pair on quadrilateral meshes: discontinuous tensor-product
-scalars and H(div)-conforming Raviart-Thomas fluxes, with their projections.
+scalars and H(div)-conforming Raviart-Thomas fluxes.  What integrates over
+them (matrices, loads, projections, the interpolant) is in `assembly`.
 
 The scalar space maps by plain composition with the cell map; the flux space
 maps by the contravariant Piola transform v = (1/det J) J v_ref, which keeps
@@ -187,22 +188,6 @@ class FluxSpace:
                               compare=False)
 
 
-@dataclass
-class FeFunction:
-    """A finite element function: a space plus its global coefficient vector."""
-
-    space: object
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.space.n_dofs,):
-            raise ValueError(
-                f"coefficient vector has length {len(self.coefficients)}, "
-                f"space has {self.space.n_dofs} DoFs"
-            )
-
-
 def build_pair(mesh, p):
     """Build the (scalar, flux) space pair of degree p on a mesh."""
     if not isinstance(p, (int, np.integer)) or p < 0 or p > MAX_DEGREE:
@@ -238,105 +223,3 @@ def build_pair(mesh, p):
                      n_edge_dofs=ne * ned, cell_dofs=cell_dofs,
                      cell_signs=cell_signs)
     return scalar, flux
-
-
-def eval_scalar(f, cell, xhat):
-    """Evaluate a scalar FE function at reference points of one cell."""
-    if not isinstance(f.space, ScalarSpace):
-        raise TypeError("eval_scalar needs a function in a scalar space")
-    vals = f.space.ref.tabulate(xhat)
-    return vals @ f.coefficients[f.space.cell_dofs[cell]]
-
-
-def eval_flux(f, cell, xhat):
-    """Evaluate a flux FE function (Piola mapped) at reference points."""
-    if not isinstance(f.space, FluxSpace):
-        raise TypeError("eval_flux needs a function in a flux space")
-    space = f.space
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    ref_vals = space.ref.tabulate(xhat)
-    local = space.cell_signs[cell] * f.coefficients[space.cell_dofs[cell]]
-    vhat = np.einsum("nid,i->nd", ref_vals, local)
-    J, det = space.mesh.cell_map(cell).jacobian(xhat)
-    return np.einsum("nab,nb->na", J, vhat) / det[:, None]
-
-
-def eval_div_flux(f, cell, xhat):
-    """Divergence of a flux FE function: (1/det J) * reference divergence."""
-    if not isinstance(f.space, FluxSpace):
-        raise TypeError("eval_div_flux needs a function in a flux space")
-    space = f.space
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    ref_divs = space.ref.tabulate_div(xhat)
-    local = space.cell_signs[cell] * f.coefficients[space.cell_dofs[cell]]
-    _, det = space.mesh.cell_map(cell).jacobian(xhat)
-    return (ref_divs @ local) / det
-
-
-def l2_project_scalar(g, space):
-    """L2 projection onto the scalar space; cell-by-cell Gram solves."""
-    if not isinstance(space, ScalarSpace):
-        raise TypeError("l2_project_scalar needs a scalar space")
-    from . import assembly  # local import to stay cycle free
-
-    ev = assembly.evaluation(space)
-    phi = space.ref.tabulate(ev.rule.points)
-    wdet = ev.weights.reshape(space.mesh.n_cells, -1)
-    gram = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
-    rhs = ev.apply_transposed(ev.values, ev.weights * g(ev.points))
-    local = np.linalg.solve(gram, rhs[space.cell_dofs])[:, :, 0]
-    coef = np.empty(space.n_dofs)
-    coef[space.cell_dofs] = local
-    return FeFunction(space=space, coefficients=coef)
-
-
-def l2_project_flux(g, space):
-    """L2 projection onto the flux space; one global mass solve.
-
-    The flux mass is SPD, so it is factored with `assembly.SYMMETRIC_SPLU`
-    (minimum degree ordering of A + A^T, diagonal pivots).
-    """
-    if not isinstance(space, FluxSpace):
-        raise TypeError("l2_project_flux needs a flux space")
-    from . import assembly
-    from scipy.sparse.linalg import splu
-
-    mass = assembly.assemble_weighted_mass_flux(
-        space, assembly.CoefficientField.identity())
-    rhs = assembly.assemble_flux_moments(space, g)
-    coef = splu(mass.tocsc(), **assembly.SYMMETRIC_SPLU).solve(rhs)
-    return FeFunction(space=space, coefficients=coef)
-
-
-def rt_interpolate(g, space, order=None):
-    """Canonical Raviart-Thomas interpolant from edge and interior moments.
-
-    Edge moments integrate g . n against shifted Legendre weights along each
-    edge (arclength measure); interior moments are taken on the reference
-    cell after the inverse Piola pullback, which is exactly what makes the
-    divergence of the interpolation error orthogonal to the scalar space.
-    Both use `order` Gauss points per direction (p + 3 by default).
-    """
-    if not isinstance(space, FluxSpace):
-        raise TypeError("rt_interpolate needs a flux space")
-    mesh = space.mesh
-    rule_1d = gauss_legendre_unit(space.p + 3 if order is None else order)
-    edge_w, interior_w = space.ref.dof_weights(rule_1d)
-    coef = np.empty(space.n_dofs)
-    start, end, normal = mesh.edge_frames()
-    pts = start[:, None, :] + rule_1d.points[:, None] * (end - start)[:, None, :]
-    gn = np.einsum("eqd,ed->eq", g(pts.reshape(-1, 2)).reshape(pts.shape), normal)
-    length = np.linalg.norm(end - start, axis=1)
-    coef[:space.n_edge_dofs] = (length[:, None] * (gn @ edge_w)).ravel()
-    if space.ref.n_interior_dofs:
-        from .assembly import cell_geometry
-
-        phys, J, _ = cell_geometry(mesh, tensor(rule_1d, rule_1d))
-        gv = g(phys.reshape(-1, 2)).reshape(phys.shape)
-        # inverse Piola: det J * J^{-1} g
-        ghat = np.empty_like(gv)
-        ghat[..., 0] = J[..., 1, 1] * gv[..., 0] - J[..., 0, 1] * gv[..., 1]
-        ghat[..., 1] = -J[..., 1, 0] * gv[..., 0] + J[..., 0, 0] * gv[..., 1]
-        coef[space.n_edge_dofs:] = np.einsum("iqd,cqd->ci", interior_w,
-                                             ghat).ravel()
-    return FeFunction(space=space, coefficients=coef)

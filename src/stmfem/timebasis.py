@@ -55,20 +55,6 @@ class TimePartition:
         """Length of interval n (0-based)."""
         return float(self.nodes[n + 1] - self.nodes[n])
 
-    @property
-    def tau_max(self):
-        return float(np.max(np.diff(self.nodes)))
-
-    def locate(self, t):
-        """Index n of the interval (t_n, t_{n+1}] containing t; t = 0 maps to 0."""
-        nodes = self.nodes
-        if t < nodes[0] - 1e-12 or t > nodes[-1] + 1e-12:
-            raise ValueError(f"time {t} outside [0, {nodes[-1]}]")
-        if t <= nodes[0]:
-            return 0
-        n = int(np.searchsorted(nodes, t, side="left")) - 1
-        return min(max(n, 0), self.n_intervals - 1)
-
 
 @dataclass(frozen=True)
 class TemporalBasis:
@@ -81,25 +67,10 @@ class TemporalBasis:
     beta: np.ndarray             # (r,), the mapped Gauss weights
     endpoint_weights: np.ndarray  # phi_j(1), used by the continuity update
     _trial: LagrangeBasis1D = field(repr=False)
-    _test: LagrangeBasis1D = field(repr=False)
-
-    def eval_trial(self, j, that):
-        """phi_j at reference times that; cardinal on the trial nodes."""
-        return self._trial.eval(that)[:, j]
 
     def eval_trial_all(self, that):
         """All trial values at reference times, shape (npts, r + 1)."""
         return self._trial.eval(that)
-
-    def eval_test(self, i, that):
-        """psi_i at reference times; degree r-1 cardinal on the Gauss nodes.
-
-        Only used for diagnostics: the quadrature-collapsed scheme never
-        evaluates the test basis away from its own nodes.
-        """
-        if not 1 <= i <= self.r:
-            raise ValueError(f"test index must be in 1..{self.r}")
-        return self._test.eval(that)[:, i - 1]
 
 
 def build_basis(r):
@@ -109,7 +80,6 @@ def build_basis(r):
     rule = gauss_legendre_unit(r)
     trial_nodes = np.concatenate([[0.0], rule.points])
     trial = LagrangeBasis1D(trial_nodes)
-    test = LagrangeBasis1D(rule.points)
     # alpha from the exact barycentric differentiation matrix: rows are the
     # Gauss nodes (trial node indices 1..r), columns all trial functions
     D = trial.diff_matrix()
@@ -123,5 +93,4 @@ def build_basis(r):
         beta=rule.weights.copy(),
         endpoint_weights=endpoint,
         _trial=trial,
-        _test=test,
     )

@@ -19,7 +19,6 @@ coupled system, `schur` by one exact Gauss-point-decoupled solve followed by
 one unpreconditioned GMRES(1) correction step started from it.
 """
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,8 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .exceptions import SolverFailureError
-from .spaces import build_pair, l2_project_flux, l2_project_scalar
+from .assembly import l2_project_flux, l2_project_scalar
+from .spaces import build_pair
 from .timebasis import TimePartition, build_basis
 
 DEFAULT_TOL = 1e-12
@@ -67,10 +67,6 @@ class SystemMatrices:
         self._operator = None
 
     @property
-    def n_scalar(self):
-        return self.scalar_space.n_dofs
-
-    @property
     def n_flux(self):
         return self.flux_space.n_dofs
 
@@ -87,12 +83,16 @@ class SystemMatrices:
 
 
 class IntervalOperator:
-    """One interval's block matrix and its norm; factors are built on first use."""
+    """One interval's block matrix and its norm; factors are built on first use.
+
+    It holds the spaces and matrices it reads, not the `SystemMatrices` that
+    caches it: that would be a cycle keeping the factors alive after run().
+    """
 
     def __init__(self, matrices, basis, tau):
-        # `matrices` holds this operator; a strong reference back would make a
-        # cycle that keeps the factors alive after run() until gc collects it
-        self.matrices = weakref.proxy(matrices)
+        self.scalar_space, self.flux_space = matrices.scalar_space, matrices.flux_space
+        self.mass_scalar, self.mass_flux = matrices.mass_scalar, matrices.mass_flux
+        self.div = matrices.div
         self.basis, self.tau = basis, tau
         r, alpha, beta = basis.r, basis.alpha, basis.beta
         blocks = [[None] * (2 * r) for _ in range(2 * r)]
@@ -100,16 +100,17 @@ class IntervalOperator:
             for j in range(r):
                 a = alpha[i, j + 1]
                 if a != 0.0:
-                    blocks[i][j] = a * matrices.mass_scalar
-            blocks[i][r + i] = (tau * beta[i]) * matrices.div
-            blocks[r + i][i] = -matrices.div.T
-            blocks[r + i][r + i] = matrices.mass_flux
+                    blocks[i][j] = a * self.mass_scalar
+            blocks[i][r + i] = (tau * beta[i]) * self.div
+            blocks[r + i][i] = -self.div.T
+            blocks[r + i][r + i] = self.mass_flux
         self.matrix = sp.bmat(blocks, format="csr")
         self.norm = spla.norm(self.matrix)
 
     @cached_property
     def lu(self):
-        return CondensedLU(self.matrix, self.matrices, self.basis.r)
+        return CondensedLU(self.matrix, self.scalar_space, self.flux_space,
+                           self.basis.r)
 
     @cached_property
     def schur_preconditioner(self):
@@ -123,15 +124,17 @@ class IntervalOperator:
         pair has conjugate solutions, so one member is factored and its term
         counted twice; a real lam_k stays real, so its factor and solves do too.
         """
-        m, basis, tau = self.matrices, self.basis, self.tau
-        r, nw = basis.r, m.n_scalar
+        basis, tau = self.basis, self.tau
+        r, nw = basis.r, self.scalar_space.n_dofs
         lam, vecs = np.linalg.eig(basis.alpha[:, 1:] / basis.beta[:, None])
         keep = np.flatnonzero(lam.imag >= 0)
         real = lam[keep].imag == 0
         shifts = [lk.real if rk else lk for lk, rk in zip(lam[keep], real)]
-        factors = [CondensedLU(sp.bmat([[s * m.mass_scalar, tau * m.div],
-                                        [-m.div.T, m.mass_flux]], format="csr"),
-                               m, 1) for s in shifts]
+        factors = [CondensedLU(sp.bmat([[s * self.mass_scalar, tau * self.div],
+                                        [-self.div.T, self.mass_flux]],
+                                       format="csr"),
+                               self.scalar_space, self.flux_space, 1)
+                   for s in shifts]
         project = np.linalg.inv(vecs)[keep]                  # (K, r)
         combine = vecs[:, keep] * np.where(real, 1.0, 2.0)   # (r, K)
 
@@ -163,11 +166,11 @@ class CondensedLU:
     complex-shifted systems but the backward-error check of `_solve`.
     """
 
-    def __init__(self, matrix, matrices, r):
-        nw, nv, flux = matrices.n_scalar, matrices.n_flux, matrices.flux_space
+    def __init__(self, matrix, scalar, flux, r):
+        nw, nv = scalar.n_dofs, flux.n_dofs
         n_cell_edge = 4 * flux.ref.n_edge_dofs
         interior = np.hstack(
-            [i * nw + matrices.scalar_space.cell_dofs for i in range(r)]
+            [i * nw + scalar.cell_dofs for i in range(r)]
             + [r * nw + i * nv + flux.cell_dofs[:, n_cell_edge:]
                for i in range(r)])
         nc, m = interior.shape
@@ -201,20 +204,17 @@ class CondensedLU:
 
 @dataclass
 class StepSystem:
-    """The block system of one interval: operator context plus right-hand side."""
+    """The block system of one interval: its operator and right-hand side."""
 
     interval: int
-    basis: object
-    matrices: SystemMatrices
     rhs: np.ndarray
     operator: IntervalOperator
 
 
 def initial_coefficients(data, scalar_space, flux_space):
     """Project the initial datum: (P_h u0, vec P_h(-D grad u0))."""
-    u = l2_project_scalar(data.initial_scalar, scalar_space)
-    q = l2_project_flux(data.initial_flux, flux_space)
-    return u.coefficients, q.coefficients
+    return (l2_project_scalar(data.initial_scalar, scalar_space),
+            l2_project_flux(data.initial_flux, flux_space))
 
 
 def build_step_system(interval, basis, matrices, data, u_start, partition):
@@ -226,8 +226,8 @@ def build_step_system(interval, basis, matrices, data, u_start, partition):
     mwu = matrices.mass_scalar @ u_start
     rhs_u = (tau * basis.beta * loads).T - basis.alpha[:, :1] * mwu
     rhs = np.concatenate([rhs_u.ravel(), np.zeros(basis.r * matrices.n_flux)])
-    return StepSystem(interval=interval, basis=basis, matrices=matrices,
-                      rhs=rhs, operator=matrices.operator(basis, tau))
+    return StepSystem(interval=interval, rhs=rhs,
+                      operator=matrices.operator(basis, tau))
 
 
 def _check_residual(system, x, stage):
@@ -287,11 +287,8 @@ def solve_step(system, strategy="direct"):
     else:
         raise ValueError(f"unknown solver strategy {strategy!r}")
     x = _solve(system, inverse, strategy)
-    r = system.basis.r
-    nw, nv = system.matrices.n_scalar, system.matrices.n_flux
-    U = x[: r * nw].reshape(r, nw)
-    Q = x[r * nw:].reshape(r, nv)
-    return U, Q
+    r, nw = op.basis.r, op.scalar_space.n_dofs
+    return x[: r * nw].reshape(r, nw), x[r * nw:].reshape(r, -1)
 
 
 def endpoint_value(basis, coeffs):
@@ -317,17 +314,6 @@ class SpaceTimeSolution:
     def append_interval(self, u_stack, q_stack):
         self.scalar_coeffs.append(u_stack)
         self.flux_coeffs.append(q_stack)
-
-    def coefficients_at(self, t):
-        """Global coefficient vectors (scalar, flux) of the solution at time t."""
-        n = self.partition.locate(t)
-        t0 = self.partition.nodes[n]
-        tau = self.partition.step_size(n)
-        that = np.clip((t - t0) / tau, 0.0, 1.0)
-        w = self.basis.eval_trial_all(np.array([that]))[0]
-        u = np.einsum("j,jn->n", w, self.scalar_coeffs[n])
-        q = np.einsum("j,jn->n", w, self.flux_coeffs[n])
-        return u, q
 
 
 def run(data, mesh, p, r, n_steps, solver="direct"):

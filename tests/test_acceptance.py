@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 import stmfem as st
-from stmfem.assembly import CoefficientField
+from stmfem.assembly import (
+    CoefficientField,
+    l2_project_flux,
+    l2_project_scalar,
+    rt_interpolate,
+)
 from stmfem.harness import ExperimentConfig, run_convergence
 from stmfem.mesh import unit_square_mesh
 from stmfem.quadrature import tensor_unit
-from stmfem.spaces import build_pair, l2_project_flux, l2_project_scalar, rt_interpolate
+from stmfem.spaces import build_pair
 from stmfem.timebasis import TimePartition, build_basis
 from stmfem.timeloop import (
     ProblemData,
@@ -209,17 +214,19 @@ def test_criterion_6_projection_orders():
         for level in (1, 2, 3, 4):
             m = unit_square_mesh(level)
             scalar, flux = build_pair(m, p)
-            errs["P_h"].append(_scalar_err(l2_project_scalar(gs, scalar), gs, rule))
-            errs["Pvec_h"].append(_flux_err(l2_project_flux(gv, flux), gv, rule))
+            errs["P_h"].append(_scalar_err(scalar, l2_project_scalar(gs, scalar),
+                                           gs, rule))
+            errs["Pvec_h"].append(_flux_err(flux, l2_project_flux(gv, flux), gv,
+                                            rule))
             interp = rt_interpolate(gv, flux)
-            errs["Pi_h"].append(_flux_err(interp, gv, rule))
+            errs["Pi_h"].append(_flux_err(flux, interp, gv, rule))
             if level == 3:
                 # the identity is exact for the canonical interpolant; check
                 # it with converged moment quadrature so only the property,
                 # not the default rule's integration error, is measured
                 interp_fine = rt_interpolate(gv, flux, order=p + 6)
                 B = asm.assemble_div_coupling(flux, scalar)
-                lhs = B @ interp_fine.coefficients
+                lhs = B @ interp_fine
                 crule = tensor_unit(p + 5)
                 phi = scalar.ref.tabulate(crule.points)
                 phys, _, det = asm.cell_geometry(m, crule)
@@ -242,21 +249,21 @@ def test_criterion_6_projection_orders():
     assert not failures, "\n".join(failures)
 
 
-def _scalar_err(f, g, rule):
+def _scalar_err(space, coef, g, rule):
     from stmfem.assembly import cell_geometry
-    phys, _, det = cell_geometry(f.space.mesh, rule)
+    phys, _, det = cell_geometry(space.mesh, rule)
     wdet = rule.weights[None, :] * det
-    phi = f.space.ref.tabulate(rule.points)
-    vals = np.einsum("qi,ci->cq", phi, f.coefficients[f.space.cell_dofs])
+    phi = space.ref.tabulate(rule.points)
+    vals = np.einsum("qi,ci->cq", phi, coef[space.cell_dofs])
     ge = g(phys.reshape(-1, 2)).reshape(vals.shape)
     return float(np.sqrt(np.sum(wdet * (vals - ge) ** 2)))
 
 
-def _flux_err(f, g, rule):
+def _flux_err(space, coef, g, rule):
     from stmfem.assembly import piola_values
-    vals, _, (phys, _, det) = piola_values(f.space, rule)
+    vals, _, (phys, _, det) = piola_values(space, rule)
     wdet = rule.weights[None, :] * det
-    vh = np.einsum("cqla,cl->cqa", vals, f.coefficients[f.space.cell_dofs])
+    vh = np.einsum("cqla,cl->cqa", vals, coef[space.cell_dofs])
     ge = g(phys.reshape(-1, 2)).reshape(vh.shape)
     return float(np.sqrt(np.sum(wdet * np.sum((vh - ge) ** 2, axis=2))))
 

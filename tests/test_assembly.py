@@ -12,18 +12,14 @@ from stmfem.assembly import (
     cell_geometry,
     evaluation,
     piola_values,
+    rt_interpolate,
 )
 from stmfem.exceptions import InvalidCoefficientError, InvalidMeshError
 from stmfem.mesh import distort, level_seed, unit_square_mesh
 from stmfem.quadrature import tensor_unit
-from stmfem.spaces import (
-    FeFunction,
-    build_pair,
-    eval_div_flux,
-    eval_flux,
-    eval_scalar,
-    rt_interpolate,
-)
+from stmfem.spaces import build_pair
+
+from pointwise import cell_map, eval_div_flux, eval_flux, eval_scalar
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +36,7 @@ def entry_oracle_scalar(space, mesh, i, j, rule):
         dofs = list(space.cell_dofs[k])
         if i in dofs and j in dofs:
             li, lj = dofs.index(i), dofs.index(j)
-            _, det = mesh.cell_map(k).jacobian(rule.points)
+            _, det = cell_map(mesh, k).jacobian(rule.points)
             total += float(np.sum(rule.weights * det * phi[:, li] * phi[:, lj]))
     return total
 
@@ -134,7 +130,7 @@ def test_div_coupling_on_divergence_free_member():
                                    np.zeros(len(np.atleast_2d(x)))])
     f = rt_interpolate(g, flux)
     B = assemble_div_coupling(flux, scalar)
-    assert np.max(np.abs(B @ f.coefficients)) < 1e-13
+    assert np.max(np.abs(B @ f)) < 1e-13
 
 
 def test_div_coupling_total_flux(level1_pair):
@@ -205,7 +201,7 @@ class TestLoad:
         vec = assemble_load(scalar, exact.source, np.array([t]))[:, 0]
         phi = scalar.ref.tabulate(rule.points)
         for k in (0, 2):
-            cm = m.cell_map(k)
+            cm = cell_map(m, k)
             _, det = cm.jacobian(rule.points)
             fv = exact.source(cm.map(rule.points), np.array([t]))[0]
             for li, dof in enumerate(scalar.cell_dofs[k]):
@@ -298,7 +294,7 @@ def test_cell_geometry_matches_cell_map():
     rule = tensor_unit(3)
     phys, J, det = cell_geometry(m, rule)
     for k in range(m.n_cells):
-        cm = m.cell_map(k)
+        cm = cell_map(m, k)
         assert_allclose(phys[k], cm.map(rule.points), atol=1e-14)
         Jk, detk = cm.jacobian(rule.points)
         assert_allclose(J[k], Jk, atol=1e-14)
@@ -313,8 +309,8 @@ def test_evaluation_matches_per_cell_evaluation(p, rng):
     rule = tensor_unit(p + 3)
     nq = len(rule.weights)
     shape = (m.n_cells, nq)
-    u = FeFunction(scalar, rng.standard_normal(scalar.n_dofs))
-    q = FeFunction(flux, rng.standard_normal(flux.n_dofs))
+    u = rng.standard_normal(scalar.n_dofs)
+    q = rng.standard_normal(flux.n_dofs)
     ev_u, ev_q = evaluation(scalar, p + 3), evaluation(flux, p + 3)
     assert ev_u.divs is None
     assert ev_u.values.shape == shape + (scalar.cell_dofs.shape[1],)
@@ -325,23 +321,23 @@ def test_evaluation_matches_per_cell_evaluation(p, rng):
     points = ev_u.points.reshape(shape + (2,))
     weights = ev_u.weights.reshape(shape)
     for k in range(m.n_cells):
-        cm = m.cell_map(k)
+        cm = cell_map(m, k)
         _, det = cm.jacobian(rule.points)
-        u_vals = ev_u.values[k] @ u.coefficients[scalar.cell_dofs[k]]
-        q_local = q.coefficients[flux.cell_dofs[k]]
+        u_vals = ev_u.values[k] @ u[scalar.cell_dofs[k]]
+        q_local = q[flux.cell_dofs[k]]
         q_vals = (ev_q.values[k] @ q_local).reshape(nq, 2)
         q_divs = ev_q.divs[k] @ q_local
         assert_allclose(points[k], cm.map(rule.points), atol=1e-15)
         assert_allclose(weights[k], rule.weights * det, rtol=1e-14)
-        assert_allclose(u_vals, eval_scalar(u, k, rule.points),
+        assert_allclose(u_vals, eval_scalar(scalar, u, k, rule.points),
                         rtol=1e-12, atol=1e-13)
-        assert_allclose(q_vals, eval_flux(q, k, rule.points),
+        assert_allclose(q_vals, eval_flux(flux, q, k, rule.points),
                         rtol=1e-12, atol=1e-12)
-        assert_allclose(q_divs, eval_div_flux(q, k, rule.points),
+        assert_allclose(q_divs, eval_div_flux(flux, q, k, rule.points),
                         rtol=1e-12, atol=1e-11)
     # apply gathers every cell's coefficients at once
-    assert_allclose(ev_q.apply(ev_q.values, q.coefficients[:, None]).ravel(),
-                    np.concatenate([ev_q.values[k] @ q.coefficients[dofs]
+    assert_allclose(ev_q.apply(ev_q.values, q[:, None]).ravel(),
+                    np.concatenate([ev_q.values[k] @ q[dofs]
                                     for k, dofs in enumerate(flux.cell_dofs)]),
                     rtol=0, atol=0)
 

@@ -8,7 +8,6 @@ from stmfem.cli import main as cli_main
 from stmfem.harness import (
     ExperimentConfig,
     emit_tables,
-    parse_csv,
     run_convergence,
     to_csv,
     to_markdown,
@@ -16,6 +15,8 @@ from stmfem.harness import (
 )
 from stmfem.mesh import level_seed
 from stmfem.spaces import build_pair
+
+from pointwise import parse_csv
 
 
 @pytest.fixture(scope="module")

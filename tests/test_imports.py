@@ -1,5 +1,7 @@
-"""Every name a stmfem module imports is used there or re-exported, and
-every private module-level name it defines is read somewhere in stmfem.
+"""Every name a stmfem module imports is used there or re-exported, every
+private module-level name it defines is read somewhere in stmfem, every
+public function, class, method and property it defines is read in stmfem or
+perfbench or is exported, and no function imports anything.
 
 No linter runs on this code base, so these guards parse each module with
 `ast`.  A module may import a name it never reads only if its `__all__`
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stmfem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stmfem"
+PERFBENCH = ROOT / "perfbench"
 
 # perfbench/tracer.py wraps these bindings to count the calls made through
 # them; the modules that hold them never call them
@@ -33,13 +37,16 @@ def unused_imports(tree):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.update(a.asname or a.name for a in node.names)
-    read = loaded_names(tree)
-    exported = set()
+    return imported - loaded_names(tree) - exported_names(tree)
+
+
+def exported_names(tree):
+    """The names the module's `__all__` lists; none without one."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            exported = set(ast.literal_eval(node.value))
-    return imported - read - exported
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
@@ -62,14 +69,16 @@ def private_definitions(tree):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
-def package_reads():
-    """Names read anywhere in stmfem, bare or as an attribute."""
+def package_reads(*dirs):
+    """Names read anywhere in the modules of `dirs` (stmfem by default),
+    bare or as an attribute."""
     read = set()
-    for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        read |= loaded_names(tree)
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute)}
+    for directory in dirs or (SRC,):
+        for path in directory.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            read |= loaded_names(tree)
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)}
     return read
 
 
@@ -77,3 +86,49 @@ def package_reads():
 def test_no_dead_private_names(path):
     dead = private_definitions(ast.parse(path.read_text())) - package_reads()
     assert sorted(dead) == []
+
+
+# public names that neither stmfem nor perfbench reads and stmfem.__all__
+# does not export, each with the reason it stays
+ALLOWED_PUBLIC = {
+    "local_mass_balance": "criterion 8 of the acceptance suite measures the "
+                          "local conservation defect with it",
+}
+
+
+def public_definitions(tree):
+    """Public module-level functions and classes, and the public methods and
+    properties of those classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return {n for n in names if not n.startswith("_")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unread_public_names(path):
+    """Names are matched, not bindings: a definition escapes this check when
+    any same-named attribute is read, so a property `n` counts as read
+    wherever another class's attribute `n` is (LagrangeBasis1D.n)."""
+    unread = (public_definitions(ast.parse(path.read_text()))
+              - package_reads(SRC, PERFBENCH)
+              - exported_names(ast.parse((SRC / "__init__.py").read_text()))
+              - set(ALLOWED_PUBLIC))
+    assert sorted(unread) == []
+
+
+def nested_imports(tree):
+    """Line numbers of import statements inside a function body."""
+    return sorted({inner.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_imports_in_function_bodies(path):
+    assert nested_imports(ast.parse(path.read_text())) == []

@@ -12,6 +12,8 @@ from stmfem.mesh import distort, level_seed
 from stmfem.mms import eoc, error_q_V, error_u, mms_standard
 from stmfem.timeloop import ProblemData, run
 
+from pointwise import cell_map, coefficients_at, eval_div_flux, eval_flux
+
 
 @pytest.fixture(scope="module")
 def standard():
@@ -175,7 +177,7 @@ class TestErrorNorms:
         wdet = srule.weights[None, :] * det
 
         def spatial_sq_error(t):
-            u_coef, _ = sol.coefficients_at(t)
+            u_coef, _ = coefficients_at(sol, t)
             vals = np.einsum("qi,ci->cq", phi, u_coef[sol.scalar_space.cell_dofs])
             ue = standard.scalar(phys.reshape(-1, 2), np.array([t]))[0]
             ue = ue.reshape(vals.shape)
@@ -197,7 +199,6 @@ class TestErrorNorms:
         # and eval_div_flux on a distorted mesh, adaptive in time
         from scipy.integrate import quad
         from stmfem.quadrature import tensor_unit
-        from stmfem.spaces import FeFunction, eval_div_flux, eval_flux
         data = ProblemData(diffusion=CoefficientField.identity(),
                            initial_scalar=standard.initial_scalar(),
                            source=standard.source, final_time=1.0,
@@ -205,19 +206,19 @@ class TestErrorNorms:
         mesh = distort(st.unit_square_mesh(1), 0.2, level_seed(23, 1))
         sol = run(data, mesh, p=2, r=2, n_steps=10)
         srule = tensor_unit(7)
-        maps = [mesh.cell_map(k) for k in range(mesh.n_cells)]
+        maps = [cell_map(mesh, k) for k in range(mesh.n_cells)]
         phys = [cm.map(srule.points) for cm in maps]
         wdet = [srule.weights * cm.jacobian(srule.points)[1] for cm in maps]
 
         def spatial_sq_error(t):
-            _, q_coef = sol.coefficients_at(t)
-            q_h = FeFunction(sol.flux_space, q_coef)
+            _, q_coef = coefficients_at(sol, t)
             total = 0.0
             for k in range(mesh.n_cells):
                 tt = np.array([t])
-                dq = standard.flux(phys[k], tt)[0] - eval_flux(q_h, k, srule.points)
+                dq = (standard.flux(phys[k], tt)[0]
+                      - eval_flux(sol.flux_space, q_coef, k, srule.points))
                 ddiv = (standard.div_flux(phys[k], tt)[0]
-                        - eval_div_flux(q_h, k, srule.points))
+                        - eval_div_flux(sol.flux_space, q_coef, k, srule.points))
                 total += float(wdet[k] @ (np.sum(dq**2, axis=1) + ddiv**2))
             return total
 

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 from stmfem.timebasis import TimePartition, build_basis
 from stmfem.timeloop import SpaceTimeSolution
 
+from pointwise import coefficients_at, locate
+
 
 def symbolic_tables(r):
     """Independent oracle: exact alpha table and endpoint weights via sympy."""
@@ -57,8 +59,8 @@ def test_alpha_r2_against_finite_differences():
     for i in range(2):
         ti = basis.test_nodes[i]
         for j in range(3):
-            plus = basis.eval_trial(j, np.array([ti + h]))[0]
-            minus = basis.eval_trial(j, np.array([ti - h]))[0]
+            plus = basis.eval_trial_all(np.array([ti + h]))[0, j]
+            minus = basis.eval_trial_all(np.array([ti - h]))[0, j]
             fd = basis.beta[i] * (plus - minus) / (2 * h)
             assert abs(fd - basis.alpha[i, j]) < 1e-8
 
@@ -116,19 +118,6 @@ def test_trial_partition_of_unity():
     assert_allclose(sums, np.ones(len(pts)), rtol=1e-13)
 
 
-def test_test_basis_cardinal():
-    basis = build_basis(2)
-    assert abs(basis.eval_test(1, basis.test_nodes[:1])[0] - 1.0) < 1e-14
-    assert abs(basis.eval_test(1, basis.test_nodes[1:])[0]) < 1e-14
-    assert abs(basis.eval_test(2, basis.test_nodes[1:])[0] - 1.0) < 1e-14
-
-
-def test_test_basis_r1_constant():
-    basis = build_basis(1)
-    vals = basis.eval_test(1, np.array([0.0, 0.3, 1.0]))
-    assert_allclose(vals, np.ones(3), rtol=1e-15)
-
-
 @pytest.mark.parametrize("r, min_real, cond", [
     (1, 2.0, 1.0), (2, 3.0, 3.7321), (3, 3.6778, 12.838), (4, 4.2076, 45.585),
     (5, 4.6493, 165.00)])
@@ -164,7 +153,7 @@ class TestCoefficientsAt:
         for _ in range(2):
             self.append([3.5, 3.5, 3.5])
         for t in (0.251, 0.3, 0.5):
-            for coef in self.solution.coefficients_at(t):
+            for coef in coefficients_at(self.solution, t):
                 assert_allclose(coef, [3.5], rtol=1e-13)
 
     def test_right_endpoint_r2(self):
@@ -172,7 +161,7 @@ class TestCoefficientsAt:
         a, b = 0.7, -0.2
         self.append([0.0, a, b])
         expected = -np.sqrt(3) * a + np.sqrt(3) * b
-        for coef in self.solution.coefficients_at(0.25):
+        for coef in coefficients_at(self.solution, 0.25):
             assert_allclose(coef, [expected], rtol=1e-13)
 
 
@@ -180,15 +169,14 @@ class TestTimePartition:
     def test_uniform(self):
         p = TimePartition.uniform(2.0, 4)
         assert p.n_intervals == 4
-        assert abs(p.tau_max - 0.5) < 1e-15
         assert abs(p.step_size(2) - 0.5) < 1e-15
 
     def test_locate(self):
         p = TimePartition.uniform(1.0, 10)
-        assert p.locate(0.0) == 0
-        assert p.locate(0.1) == 0  # right-closed intervals
-        assert p.locate(0.1000001) == 1
-        assert p.locate(1.0) == 9
+        assert locate(p, 0.0) == 0
+        assert locate(p, 0.1) == 0  # right-closed intervals
+        assert locate(p, 0.1000001) == 1
+        assert locate(p, 1.0) == 9
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +11,10 @@ from numpy.testing import assert_allclose
 
 import stmfem as st
 from stmfem import timeloop
-from stmfem.assembly import CoefficientField, assemble_load
+from stmfem.assembly import CoefficientField, assemble_load, l2_project_flux
 from stmfem.exceptions import InvalidMeshError, SolverFailureError
 from stmfem.mesh import distort, unit_square_mesh
-from stmfem.spaces import build_pair, eval_scalar, l2_project_flux, FeFunction
+from stmfem.spaces import build_pair
 from stmfem.timebasis import TimePartition, build_basis
 from stmfem.timeloop import (
     ProblemData,
@@ -24,6 +26,8 @@ from stmfem.timeloop import (
     run,
     solve_step,
 )
+
+from pointwise import cell_map, coefficients_at, eval_scalar
 
 
 def zero_scalar(x):
@@ -88,15 +92,14 @@ class TestInitialCoefficients:
         mesh = unit_square_mesh(1)
         scalar, flux = build_pair(mesh, 1)
         coef = rng.standard_normal(scalar.n_dofs)
-        g = FeFunction(space=scalar, coefficients=coef)
 
         def u0(x):
             x = np.atleast_2d(x)
             out = np.empty(len(x))
             for k in range(mesh.n_cells):
-                xhat = mesh.cell_map(k).inverse(x)
+                xhat = cell_map(mesh, k).inverse(x)
                 inside = np.all((xhat > -1e-9) & (xhat < 1 + 1e-9), axis=1)
-                out[inside] = eval_scalar(g, k, xhat[inside])
+                out[inside] = eval_scalar(scalar, coef, k, xhat[inside])
             return out
 
         # only U^0 is checked, so the flux datum need not match u0
@@ -125,7 +128,7 @@ class TestInitialCoefficients:
                            final_time=1.0, initial_flux=minus_grad)
         _, q0 = initial_coefficients(data, scalar, flux)
         oracle = l2_project_flux(minus_grad, flux)
-        assert np.max(np.abs(q0 - oracle.coefficients)) < 1e-11
+        assert np.max(np.abs(q0 - oracle)) < 1e-11
 
 
 class TestStepSystem:
@@ -424,7 +427,8 @@ class TestCondensedSolve:
         b = system.rhs
         U, Q = solve_step(system, strategy="direct")
         got = np.concatenate([U.ravel(), Q.ravel()])
-        A = _dense_block(system.matrices, system.basis, system.operator.tau)
+        A = _dense_block(system.operator, system.operator.basis,
+                         system.operator.tau)
         dense = np.linalg.solve(A, b)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
         # one condensed solve, without the refinement solve_step may add
@@ -440,7 +444,8 @@ class TestCondensedSolve:
                                            seed):
         # without GMRES, one decoupled solve inverts the block matrix
         system = _random_step(zero_data, p, r, distortion, seed)
-        A = _dense_block(system.matrices, system.basis, system.operator.tau)
+        A = _dense_block(system.operator, system.operator.basis,
+                         system.operator.tau)
         b = system.rhs
         x = system.operator.schur_preconditioner(b)
         assert x.dtype == np.float64
@@ -514,13 +519,44 @@ class TestCondensedSolve:
         matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
         op = matrices.operator(build_basis(2), 0.1)
         x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
-        system = timeloop.StepSystem(interval=0, basis=op.basis,
-                                     matrices=matrices, rhs=op.matrix @ x,
-                                     operator=op)
+        system = timeloop.StepSystem(interval=0, rhs=op.matrix @ x, operator=op)
         monkeypatch.setattr(op, "schur_preconditioner", lambda b: x.copy())
         U, Q = solve_step(system, strategy="schur")
         np.testing.assert_array_equal(np.concatenate([U.ravel(), Q.ravel()]),
                                       x)
+
+
+class TestIntervalOperator:
+    def test_usable_after_its_matrices_are_dropped(self):
+        # the operator holds the spaces and matrices it reads, so it still
+        # factors and solves once the SystemMatrices that built it is gone
+        scalar, flux = build_pair(unit_square_mesh(1), 1)
+        op = SystemMatrices(scalar, flux, CoefficientField.identity()).operator(
+            build_basis(2), 0.1)
+        b = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
+        for x in (op.lu.solve(b), op.schur_preconditioner(b)):
+            error = np.linalg.norm(op.matrix @ x - b) / (
+                op.norm * np.linalg.norm(x) + np.linalg.norm(b))
+            assert error <= 1e-12
+
+    def test_no_cycle_keeps_the_operator_alive(self):
+        # reference counting alone frees the operator with its factors:
+        # nothing it holds refers back to it or to the SystemMatrices
+        scalar, flux = build_pair(unit_square_mesh(1), 1)
+        matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
+        op = matrices.operator(build_basis(2), 0.1)
+        b = np.ones(op.matrix.shape[0])
+        op.lu.solve(b)
+        op.schur_preconditioner(b)
+        ref = weakref.ref(op)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del matrices, op
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestAdvance:
@@ -569,12 +605,11 @@ class TestRun:
             right_q = sol.flux_coeffs[n][0]
             assert np.max(np.abs(left_q - right_q)) < 1e-13
             # reconstruction through coefficients_at is continuous too
-            u_at, q_at = sol.coefficients_at(t)
-            fu = FeFunction(space=sol.scalar_space, coefficients=u_at)
+            u_at, q_at = coefficients_at(sol, t)
             for k in (0, 3):
-                vals = eval_scalar(fu, k, xhat)
-                ref = FeFunction(space=sol.scalar_space, coefficients=right_u)
-                assert np.max(np.abs(vals - eval_scalar(ref, k, xhat))) < 1e-13
+                vals = eval_scalar(sol.scalar_space, u_at, k, xhat)
+                ref = eval_scalar(sol.scalar_space, right_u, k, xhat)
+                assert np.max(np.abs(vals - ref)) < 1e-13
 
     @pytest.mark.parametrize("solver", ["direct", "schur"])
     def test_non_finite_source_fails_at_its_interval(self, mms_problem,
