@@ -2,22 +2,31 @@
 
 Three time-independent matrices drive the whole run:
 
-* M_W  scalar mass            <w_j, w_i>          (block diagonal, SPD)
+* M_W  scalar mass            <w_j, w_i>          (diagonal, SPD)
 * M_D  weighted flux mass     <D^{-1} v_j, v_i>   (SPD)
 * B    divergence coupling    <div v_j, w_i>      (shared with its transpose)
 
-All integrals use tensor Gauss rules; on bilinear cell maps the integrands
-of M_W and M_D are rational, so the rule order is chosen one notch above
+M_W is diagonal on every bilinear mesh: the scalar basis is Lagrange at the
+(p+1) Gauss nodes per direction, which integrate w_i w_j det J (degree
+2p+1 per direction) exactly, so it is assembled as that diagonal.
+
+All integrals use tensor Gauss rules; on bilinear cell maps the integrand
+of M_D is rational, so the rule order is chosen one notch above
 polynomial exactness: (p+3) points per direction.  `evaluation` is the one
 place that picks that rule; M_W, M_D, B, the loads, the projections and the
 error norms read one set of tables per space and order, built on first use
 and kept on the space.  The tables are dense per cell, (cells, points,
 local dofs), and every consumer applies them with batched products over the
 cells: forward to evaluate a function, transposed to integrate against the
-basis.  Each matrix is a sum over cells of Galerkin products L_c^T K_c R_c
+basis.  M_D and B are sums over cells of Galerkin products L_c^T K_c R_c
 of two tables and a pointwise weight, built once from COO; in
 B = E^T diag(w) D the det J of the weights cancels the 1/det J of the flux
-divergences D.
+divergences D.  An entry of M_D or B is a sum of n = 2 (p+3)^2 point terms,
+so by Cauchy-Schwarz its rounding error is at most gamma_n sqrt(d_i d_j),
+with gamma_n = n u / (1 - n u) and d the squared norms of the two basis
+functions under the rule.  Entries within that bound of zero cannot be told
+from zero (most are the residue of integrals that vanish), so they are not
+stored.
 """
 
 from dataclasses import dataclass
@@ -96,7 +105,7 @@ def cell_geometry(mesh, rule):
     phys, J, det = bilinear_map(mesh.cell_corner_array(), rule.points)
     if np.any(det <= 0.0):
         bad = int(np.argwhere(np.any(det <= 0.0, axis=1))[0][0])
-        raise InvalidMeshError(bad, float(det[bad].min()))
+        raise InvalidMeshError(bad, float(det[bad].min()), "quadrature")
     return phys, J, det
 
 
@@ -190,14 +199,26 @@ def evaluation(space, order=None):
     return ev
 
 
-def _galerkin(left, left_table, weighted_right, right):
+def _galerkin(left, left_table, weighted_right, right, norms=None):
     """The matrix sum over cells of L_c^T (K_c R_c), for the tables L of
-    `left` and the weighted tables K R of `right`, built once from COO."""
+    `left` and the weighted tables K R of `right`, built once from COO.
+
+    `norms` holds the squared norms (d_i, d_j) of the row and column basis
+    functions, by default the matrix's own diagonal twice; entries within
+    their rounding bound of zero are dropped.
+    """
     local = np.matmul(left_table.transpose(0, 2, 1), weighted_right)
     rows = np.broadcast_to(left.cell_dofs[:, :, None], local.shape)
     cols = np.broadcast_to(right.cell_dofs[:, None, :], local.shape)
     matrix = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                            shape=(left.n_dofs, right.n_dofs)).tocsr()
+    n = 2 * len(left.rule.weights)       # point terms in an entry, two cells
+    u = np.finfo(float).eps / 2
+    gamma = n * u / (1.0 - n * u)
+    d_rows, d_cols = (matrix.diagonal(),) * 2 if norms is None else norms
+    entry_rows = np.repeat(np.arange(left.n_dofs), np.diff(matrix.indptr))
+    bound = gamma * np.sqrt(d_rows[entry_rows] * d_cols[matrix.indices])
+    matrix.data[np.abs(matrix.data) <= bound] = 0.0
     matrix.eliminate_zeros()
     return matrix
 
@@ -207,10 +228,19 @@ def _cell_weights(ev):
     return ev.weights.reshape(len(ev.cell_dofs), -1, 1)
 
 
-def assemble_mass_scalar(space):
-    """Scalar mass matrix <w_j, w_i>; block diagonal over cells."""
+def _mass_scalar_diagonal(space):
+    """The diagonal of M_W, sum_q w_q det J w_i(x_q)^2, which is all it stores."""
     ev = evaluation(space)
-    return _galerkin(ev, ev.values, _cell_weights(ev) * ev.values, ev)
+    diagonal = np.empty(space.n_dofs)
+    diagonal[ev.cell_dofs] = _cell_weights(ev)[:, :, 0] @ ev.values[0] ** 2
+    return diagonal
+
+
+def assemble_mass_scalar(space):
+    """Scalar mass matrix <w_j, w_i>; diagonal, stored as CSR."""
+    n = space.n_dofs
+    return sp.csr_matrix((_mass_scalar_diagonal(space), np.arange(n),
+                          np.arange(n + 1)), shape=(n, n))
 
 
 def assemble_weighted_mass_flux(space, coefficient):
@@ -234,8 +264,12 @@ def assemble_div_coupling(flux_space, scalar_space):
             or flux_space.p != scalar_space.p):
         raise ValueError("flux and scalar spaces must share a mesh and degree")
     scalar, flux = evaluation(scalar_space), evaluation(flux_space)
-    return _galerkin(scalar, scalar.values, _cell_weights(scalar) * flux.divs,
-                     flux)
+    weighted_divs = _cell_weights(scalar) * flux.divs
+    local = np.einsum("cqi,cqi->ci", weighted_divs, flux.divs)
+    div_norms = np.bincount(flux.cell_dofs.ravel(), weights=local.ravel(),
+                            minlength=flux.n_dofs)
+    return _galerkin(scalar, scalar.values, weighted_divs, flux,
+                     (_mass_scalar_diagonal(scalar_space), div_norms))
 
 
 def sample_in_time(f, points, times, vector=False):
@@ -266,18 +300,13 @@ def assemble_flux_moments(space, g):
 
 
 def l2_project_scalar(g, space):
-    """L2 projection onto the scalar space, cell by cell; returns coefficients."""
+    """L2 projection onto the scalar space, whose mass is diagonal; returns
+    coefficients."""
     if not isinstance(space, ScalarSpace):
         raise TypeError("l2_project_scalar needs a scalar space")
     ev = evaluation(space)
-    phi = ev.values[0]  # the reference table, the same on every cell
-    wdet = ev.weights.reshape(space.mesh.n_cells, -1)
-    gram = np.einsum("cq,qi,qj->cij", wdet, phi, phi)
-    rhs = ev.apply_transposed(ev.values, ev.weights * g(ev.points))
-    local = np.linalg.solve(gram, rhs[space.cell_dofs])[:, :, 0]
-    coef = np.empty(space.n_dofs)
-    coef[space.cell_dofs] = local
-    return coef
+    moments = ev.apply_transposed(ev.values, ev.weights * g(ev.points))[:, 0]
+    return moments / _mass_scalar_diagonal(space)
 
 
 def l2_project_flux(g, space):

@@ -2,13 +2,19 @@
 
 
 class InvalidMeshError(Exception):
-    """A cell map has a nonpositive Jacobian determinant somewhere."""
+    """A cell map has a nonpositive Jacobian determinant somewhere.
 
-    def __init__(self, cell, min_det):
+    `stage` names the check that saw it: "distort" (the distorted mesh),
+    "build_pair" (the mesh a space pair is built on) or "quadrature" (the
+    points of a rule mapped through the cells).
+    """
+
+    def __init__(self, cell, min_det, stage):
         self.cell = cell
         self.min_det = min_det
+        self.stage = stage
         super().__init__(
-            f"cell {cell} is invalid: min det J = {min_det:.6e} <= 0"
+            f"{stage}: cell {cell} is invalid: min det J = {min_det:.6e} <= 0"
         )
 
 

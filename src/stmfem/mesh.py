@@ -187,7 +187,7 @@ def distort(mesh, factor, seed):
     out = QuadMesh(vertices, mesh.cells.copy(), level=mesh.level, distortion=factor)
     report = validity_check(out)
     if not report.ok:
-        raise InvalidMeshError(report.bad_cells[0], report.min_det)
+        raise InvalidMeshError(report.bad_cells[0], report.min_det, "distort")
     return out
 
 

@@ -194,7 +194,8 @@ def build_pair(mesh, p):
         raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {p!r}")
     report = validity_check(mesh)
     if not report.ok:
-        raise InvalidMeshError(report.bad_cells[0], report.min_det)
+        raise InvalidMeshError(report.bad_cells[0], report.min_det,
+                               "build_pair")
 
     sref = ScalarReference(p)
     nc = mesh.n_cells

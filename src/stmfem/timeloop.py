@@ -14,9 +14,10 @@ along purely so the flux can be reconstructed anywhere in time.
 
 Both solvers solve this block matrix (`IntervalOperator.matrix`) under one
 policy: solve, check the normwise backward error against it, and refine
-once where that misses.  `direct` solves by static condensation of the
-coupled system, `schur` by one exact Gauss-point-decoupled solve followed by
-one unpreconditioned GMRES(1) correction step started from it.
+once where that misses.  Both solve by `IntervalOperator.solve`, which
+decouples the r Gauss-point blocks exactly and statically condenses each
+shifted block onto its edge flux moments; `schur` then takes one
+unpreconditioned GMRES(1) correction step started from that solution.
 """
 
 from dataclasses import dataclass
@@ -83,7 +84,8 @@ class SystemMatrices:
 
 
 class IntervalOperator:
-    """One interval's block matrix and its norm; factors are built on first use.
+    """One interval's block matrix, its norm, and its exact inverse `solve`,
+    whose factors are built on first use.
 
     It holds the spaces and matrices it reads, not the `SystemMatrices` that
     caches it: that would be a cycle keeping the factors alive after run().
@@ -108,94 +110,107 @@ class IntervalOperator:
         self.norm = spla.norm(self.matrix)
 
     @cached_property
-    def lu(self):
-        return CondensedLU(self.matrix, self.scalar_space, self.flux_space,
-                           self.basis.r)
-
-    @cached_property
-    def schur_preconditioner(self):
+    def solve(self):
         """Exact inverse of `matrix`, as a function of the right-hand side.
 
         Divided by beta, the scalar rows read sum_j A[i,j] M_W U^j + tau B Q^i
         with A = diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1.  In
         (W, P) = V^-1 (U, Q) the r coupled blocks split into the shifted
         saddle systems [lam_k M_W, tau B; -B^T, M_D], each solved by
-        CondensedLU on the V^-1-projected scalar and flux loads.  A conjugate
-        pair has conjugate solutions, so one member is factored and its term
-        counted twice; a real lam_k stays real, so its factor and solves do too.
+        CondensedLU.  A conjugate pair has conjugate solutions, so one member
+        is factored and its real and imaginary parts fill two rows of (W, P);
+        a real lam_k fills one row, and its factor and solves stay real.  In
+        that real form V^-1 and V are the real r x r matrices `project` and
+        `combine`, applied once to all scalar and once to all flux loads.
         """
-        basis, tau = self.basis, self.tau
-        r, nw = basis.r, self.scalar_space.n_dofs
-        lam, vecs = np.linalg.eig(basis.alpha[:, 1:] / basis.beta[:, None])
-        keep = np.flatnonzero(lam.imag >= 0)
-        real = lam[keep].imag == 0
-        shifts = [lk.real if rk else lk for lk, rk in zip(lam[keep], real)]
-        factors = [CondensedLU(sp.bmat([[s * self.mass_scalar, tau * self.div],
-                                        [-self.div.T, self.mass_flux]],
-                                       format="csr"),
-                               self.scalar_space, self.flux_space, 1)
-                   for s in shifts]
-        project = np.linalg.inv(vecs)[keep]                  # (K, r)
-        combine = vecs[:, keep] * np.where(real, 1.0, 2.0)   # (r, K)
+        r, nw = self.basis.r, self.scalar_space.n_dofs
+        lam, vecs = np.linalg.eig(self.basis.alpha[:, 1:] / self.basis.beta[:, None])
+        inverse = np.linalg.inv(vecs)
+        factors, project, combine = [], [], []
+        for k in np.flatnonzero(lam.imag >= 0):
+            pair = lam[k].imag > 0
+            rows = slice(len(project), len(project) + 1 + pair)
+            factors.append((CondensedLU(lam[k] if pair else lam[k].real,
+                                        self.tau, self), rows))
+            project += [inverse[k].real, inverse[k].imag][: 1 + pair]
+            combine += ([2.0 * vecs[:, k].real, -2.0 * vecs[:, k].imag] if pair
+                        else [vecs[:, k].real])
+        project, combine = np.array(project), np.array(combine).T
+        project_scalar = project / self.basis.beta
 
         def apply(b):
-            # one row per Gauss point: its scalar load over beta, its flux load
-            rows = np.hstack([b[: r * nw].reshape(r, nw) / basis.beta[:, None],
-                              b[r * nw:].reshape(r, -1)])
-            w = [lu.solve(c.real if rk else c)
-                 for lu, c, rk in zip(factors, project @ rows, real)]
-            x = (combine @ np.array(w)).real
-            return np.concatenate([x[:, :nw].ravel(), x[:, nw:].ravel()])
+            # the projected loads, then the solution in the same rows
+            scalar = np.dot(project_scalar, b[: r * nw].reshape(r, nw))
+            flux = np.dot(project, b[r * nw:].reshape(r, -1))
+            for lu, rows in factors:
+                load = np.concatenate([scalar[rows], flux[rows]], axis=1)
+                x = lu.solve(load[0] if len(load) == 1 else load[0] + 1j * load[1])
+                x = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x
+                scalar[rows], flux[rows] = x[..., :nw], x[..., nw:]
+            x = np.empty_like(b)
+            np.dot(combine, scalar, out=x[: r * nw].reshape(r, nw))
+            np.dot(combine, flux, out=x[r * nw:].reshape(r, -1))
+            return x
 
         return apply
 
 
 class CondensedLU:
-    """Exact solver for an interval's block matrix by static condensation.
+    """Exact solver for one shifted block [s M_W, tau B; -B^T, M_D] by static
+    condensation.
 
-    A cell's scalar unknowns and interior flux moments (set I, all r blocks)
-    couple only within the cell, so A_II is block diagonal and is inverted
-    cell by cell; only the Schur complement on the edge moments (set G),
-    A_GG - A_GI A_II^-1 A_IG, is factored.
+    A cell's scalar unknowns and interior flux moments (set I) couple only
+    within the cell, so A_II is block diagonal and is inverted cell by cell;
+    only the Schur complement on the edge flux moments (set G),
+    A_GG - A_GI A_II^-1 A_IG, is factored.  The shift enters A_II alone, and
+    the blocks are read from M_W, B and M_D, not from an assembled block
+    matrix.
 
-    That complement is structurally symmetric, and SPD for r = 1 and for
-    every real shift of the schur solver, so it is factored with
-    `assembly.SYMMETRIC_SPLU`: a minimum degree ordering of S + S^T and
-    diagonal pivots, with about half the fill of COLAMD and partial
-    pivoting.  Without numerical pivoting nothing guards the coupled and
-    complex-shifted systems but the backward-error check of `_solve`.
+    That complement is structurally symmetric, and SPD for every real shift,
+    so it is factored with `assembly.SYMMETRIC_SPLU`: a minimum degree
+    ordering of S + S^T and diagonal pivots, with about half the fill of
+    COLAMD and partial pivoting.  Without numerical pivoting nothing guards
+    the complex-shifted systems but the backward-error check of `_solve`.
     """
 
-    def __init__(self, matrix, scalar, flux, r):
-        nw, nv = scalar.n_dofs, flux.n_dofs
-        n_cell_edge = 4 * flux.ref.n_edge_dofs
-        interior = np.hstack(
-            [i * nw + scalar.cell_dofs for i in range(r)]
-            + [r * nw + i * nv + flux.cell_dofs[:, n_cell_edge:]
-               for i in range(r)])
+    def __init__(self, shift, tau, op):
+        scalar, flux = op.scalar_space, op.flux_space
+        nw, ne = scalar.n_dofs, flux.n_edge_dofs
+        interior = np.hstack([scalar.cell_dofs,
+                              nw + flux.cell_dofs[:, 4 * flux.ref.n_edge_dofs:]])
         nc, m = interior.shape
         self.interior = interior.ravel()
-        self.edge = (r * nw + nv * np.arange(r)[:, None]
-                     + np.arange(flux.n_edge_dofs)).ravel()
-        rows = matrix.tocsr()
-        a_i, a_g = rows[self.interior], rows[self.edge]
-        a_ii = a_i[:, self.interior].tocoo()
-        cell, row = np.divmod(a_ii.row, m)
-        if np.any(a_ii.col // m != cell):
+        self.edge = slice(nw, nw + ne)
+        # place of each interior unknown in I; its cell's block is place // m
+        place = np.zeros(nw + flux.n_dofs, dtype=int)
+        place[self.interior] = np.arange(nc * m)
+        mw, bf, mdf = (a.tocoo() for a in (op.mass_scalar, op.div[:, ne:],
+                                           op.mass_flux[ne:, ne:]))
+        f = nw + ne                            # the first interior flux moment
+        rows = place[np.concatenate([mw.row, bf.row, f + bf.col, f + mdf.row])]
+        cols = place[np.concatenate([mw.col, f + bf.col, bf.row, f + mdf.col])]
+        if np.any(rows // m != cols // m):
             raise RuntimeError("interior unknowns of different cells couple")
-        blocks = np.zeros((nc, m, m), dtype=matrix.dtype)
-        blocks[cell, row, a_ii.col % m] = a_ii.data
-        self.a_ii_inv = sp.bsr_matrix(
-            (np.linalg.inv(blocks), np.arange(nc), np.arange(nc + 1)),
-            shape=(nc * m, nc * m)).tocsr()
-        self.a_gi = a_g[:, self.interior]
-        self.elim = self.a_ii_inv @ a_i[:, self.edge]    # A_II^{-1} A_IG
+        blocks = np.zeros((nc, m, m), dtype=np.result_type(shift, float))
+        blocks[rows // m, rows % m, cols % m] = np.concatenate(
+            [shift * mw.data, tau * bf.data, -bf.data, mdf.data])
+        self.a_ii_inv = np.linalg.inv(blocks)      # applied cell by cell
+        # the edge rows and columns of the block, over all its unknowns
+        div_edge = op.div[:, :ne]
+        self.a_gi = sp.hstack([-div_edge.T, op.mass_flux[:ne]], format="csr",
+                              dtype=blocks.dtype)[:, self.interior]
+        self.elim = sp.bsr_matrix(                     # A_II^{-1} A_IG
+            (self.a_ii_inv, np.arange(nc), np.arange(nc + 1)),
+            shape=(nc * m, nc * m)).tocsr() @ sp.vstack(
+            [tau * div_edge, op.mass_flux[:, :ne]], format="csr")[self.interior]
         self.edge_lu = spla.splu(
-            (a_g[:, self.edge] - self.a_gi @ self.elim).tocsc(),
+            (op.mass_flux[:ne, :ne] - self.a_gi @ self.elim).tocsc(),
             **assembly.SYMMETRIC_SPLU)
 
     def solve(self, rhs):
-        y = self.a_ii_inv @ rhs[self.interior]
+        """The block's solution for rhs = [scalar load, flux load]."""
+        nc, m, _ = self.a_ii_inv.shape
+        y = np.matmul(self.a_ii_inv, rhs[self.interior].reshape(nc, m, 1)).ravel()
         x = np.empty_like(rhs)
         x[self.edge] = self.edge_lu.solve(rhs[self.edge] - self.a_gi @ y)
         x[self.interior] = y - self.elim @ x[self.edge]
@@ -275,13 +290,13 @@ def solve_step(system, strategy="direct"):
             interval=system.interval, stage="rhs")
     op = system.operator
     if strategy == "direct":
-        inverse = op.lu.solve
+        inverse = op.solve
     elif strategy == "schur":
         def inverse(b):
-            # one GMRES iteration from the exact decoupled solve, info unread
+            # one GMRES iteration from the exact solve, info unread
             # (_check_residual is the gate); atol = tiny returns a start with
             # zero residual as it is, where atol = 0 divides by that norm
-            return spla.gmres(op.matrix, b, x0=op.schur_preconditioner(b),
+            return spla.gmres(op.matrix, b, x0=op.solve(b),
                               rtol=0.0, atol=np.finfo(float).tiny, restart=1,
                               maxiter=1)[0]
     else:

@@ -15,7 +15,7 @@ from stmfem.assembly import (
     rt_interpolate,
 )
 from stmfem.exceptions import InvalidCoefficientError, InvalidMeshError
-from stmfem.mesh import distort, level_seed, unit_square_mesh
+from stmfem.mesh import QuadMesh, distort, level_seed, unit_square_mesh
 from stmfem.quadrature import tensor_unit
 from stmfem.spaces import build_pair
 
@@ -301,6 +301,18 @@ def test_cell_geometry_matches_cell_map():
         assert_allclose(det[k], detk, atol=1e-14)
 
 
+def test_folded_mesh_fails_quadrature_with_its_stage():
+    # cell_geometry checks det J at the rule's points itself, for meshes
+    # that never passed build_pair's check
+    m = unit_square_mesh(1)
+    vertices = m.vertices.copy()
+    vertices[m.cells[0][2]] = [-0.5, -0.5]  # fold cell 0 over itself
+    with pytest.raises(InvalidMeshError) as err:
+        cell_geometry(QuadMesh(vertices, m.cells.copy(), level=1), tensor_unit(3))
+    assert (err.value.stage, err.value.cell) == ("quadrature", 0)
+    assert str(err.value).startswith("quadrature: cell 0 ")
+
+
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_evaluation_matches_per_cell_evaluation(p, rng):
     # eval_* sign the coefficients per cell; the tables carry the signs
@@ -379,6 +391,37 @@ def test_matrices_store_no_zeros(p, distortion):
                    assemble_weighted_mass_flux(flux, CoefficientField.identity()),
                    assemble_div_coupling(flux, scalar)):
         assert not np.any(matrix.data == 0.0)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(p=hst.integers(0, 3), distortion=hst.floats(0.0, 0.45, exclude_max=True),
+       level=hst.integers(1, 2), seed=hst.integers(0, 2**32 - 1))
+def test_matrices_store_no_rounding_residue(p, distortion, level, seed):
+    # M_W is diagonal.  An entry of M_D or B sums n = 2 (p+3)^2 point terms,
+    # so Cauchy-Schwarz bounds its rounding error by gamma_n sqrt(d_i d_j),
+    # d the squared norms of the two basis functions under the rule; every
+    # stored entry must exceed that bound
+    try:
+        m = distort(unit_square_mesh(level), distortion, seed)
+    except InvalidMeshError:
+        reject()
+    scalar, flux = build_pair(m, p)
+    mass_w = assemble_mass_scalar(scalar)
+    assert mass_w.nnz == scalar.n_dofs
+    n, u = 2 * (p + 3) ** 2, np.finfo(float).eps / 2
+    gamma = n * u / (1.0 - n * u)
+    ev = evaluation(flux)
+    div_norms = np.bincount(
+        flux.cell_dofs.ravel(), minlength=flux.n_dofs,
+        weights=np.einsum("cq,cqi->ci", ev.weights.reshape(m.n_cells, -1),
+                          ev.divs ** 2).ravel())
+    mass_d = assemble_weighted_mass_flux(flux, CoefficientField.identity())
+    for matrix, d_rows, d_cols in (
+            (mass_d, mass_d.diagonal(), mass_d.diagonal()),
+            (assemble_div_coupling(flux, scalar), mass_w.diagonal(), div_norms)):
+        entries = matrix.tocoo()
+        bound = gamma * np.sqrt(d_rows[entries.row] * d_cols[entries.col])
+        assert np.all(np.abs(entries.data) > bound)
 
 
 def test_run_and_error_norms_build_one_table_per_space_and_order(

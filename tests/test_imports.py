@@ -5,7 +5,8 @@ perfbench or is exported, and no function imports anything.
 
 No linter runs on this code base, so these guards parse each module with
 `ast`.  A module may import a name it never reads only if its `__all__`
-lists the name or ALLOWED below names the binding.
+lists the name or the import is marked `# noqa: F401` and names a binding
+that perfbench/tracer.py wraps.
 """
 
 import ast
@@ -17,10 +18,29 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "stmfem"
 PERFBENCH = ROOT / "perfbench"
 
-# perfbench/tracer.py wraps these bindings to count the calls made through
-# them; the modules that hold them never call them
-ALLOWED = {("harness", "build_pair"), ("mms", "cell_geometry"),
-           ("mms", "piola_values")}
+
+def tracer_bindings():
+    """(module, name) of every stmfem binding perfbench/tracer.py's
+    `install()` wraps: the `(module, "name", "metric")` tuples it lists."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    return {(node.elts[0].id, node.elts[1].value) for node in ast.walk(install)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3
+            and isinstance(node.elts[0], ast.Name)
+            and all(isinstance(e, ast.Constant) for e in node.elts[1:])}
+
+
+def tracer_only_imports(path):
+    """Names bound by the `# noqa: F401` imports of a module: imports the
+    module never reads, kept only for the tracer to wrap."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom)
+            and "# noqa: F401" in lines[node.end_lineno - 1]
+            for alias in node.names}
 
 
 def loaded_names(tree):
@@ -52,8 +72,16 @@ def exported_names(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     unused = unused_imports(ast.parse(path.read_text()))
-    assert sorted(unused - {name for module, name in ALLOWED
-                            if module == path.stem}) == []
+    assert sorted(unused - tracer_only_imports(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_tracer_only_imports_are_traced(path):
+    """A `# noqa: F401` import must name a binding the tracer wraps, so one
+    left behind once the tracer stops wrapping it fails here."""
+    assert sorted(tracer_only_imports(path)
+                  - {name for module, name in tracer_bindings()
+                     if module == path.stem}) == []
 
 
 def private_definitions(tree):

@@ -208,6 +208,15 @@ def test_validity_failure_reports_cell():
     assert "cell" in str(err.value)
 
 
+def test_inverting_distortion_names_its_stage():
+    # a factor close to 1/2 can fold a cell; seed 10 folds cell 9 of L2
+    with pytest.raises(InvalidMeshError) as err:
+        distort(unit_square_mesh(2), 0.49, 10)
+    assert (err.value.stage, err.value.cell) == ("distort", 9)
+    assert err.value.min_det < 0.0
+    assert str(err.value).startswith("distort: cell 9 ")
+
+
 def test_export_text_lists_all_records():
     m = unit_square_mesh(1)
     text = export_text(m)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 import stmfem.assembly as assembly
 from stmfem.exceptions import InvalidMeshError
-from stmfem.mesh import distort, level_seed, unit_square_mesh
+from stmfem.mesh import QuadMesh, distort, level_seed, unit_square_mesh
 from stmfem.quadrature import tensor_unit
 from stmfem.assembly import l2_project_flux, l2_project_scalar, rt_interpolate
 from stmfem.spaces import build_pair
@@ -99,6 +99,16 @@ def test_edge_numbering_and_dof_signs(level, p, distortion, seed):
     assert np.array_equal(counts[:flux.n_edge_dofs].reshape(-1, ned),
                           np.broadcast_to(np.where(inner, 2, 1)[:, None],
                                           (m.n_edges, ned)))
+
+
+def test_folded_mesh_fails_build_pair_with_its_stage():
+    m = unit_square_mesh(1)
+    vertices = m.vertices.copy()
+    vertices[m.cells[0][2]] = [-0.5, -0.5]  # fold cell 0 over itself
+    with pytest.raises(InvalidMeshError) as err:
+        build_pair(QuadMesh(vertices, m.cells.copy(), level=1), 1)
+    assert (err.value.stage, err.value.cell) == ("build_pair", 0)
+    assert str(err.value).startswith("build_pair: cell 0 ")
 
 
 def test_degree_cap():

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,7 +233,7 @@ class TestStepSystem:
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
-        calls = _perturb_solves(system, strategy, eps=1e-4, misses=misses)
+        calls = _perturb_solves(system, eps=1e-4, misses=misses)
         U, Q = solve_step(system, strategy=strategy)
         assert len(calls) == solves
         dense = np.linalg.solve(system.operator.matrix.toarray(), system.rhs)
@@ -247,20 +246,20 @@ class TestStepSystem:
         u0, _ = initial_coefficients(data, self.scalar, self.flux)
         system = build_step_system(2, self.basis, self.matrices, data, u0,
                                    self.partition)
-        calls = _perturb_solves(system, strategy, eps=1e-3, misses=2)
+        calls = _perturb_solves(system, eps=1e-3, misses=2)
         with pytest.raises(SolverFailureError) as err:
             solve_step(system, strategy=strategy)
         assert len(calls) == 2
         assert (err.value.interval, err.value.stage) == (2, strategy)
 
 
-def _perturb_solves(system, strategy, eps, misses):
-    """Make the first `misses` solves of `strategy` miss by eps relative.
+def _perturb_solves(system, eps, misses):
+    """Make the first `misses` solves of either strategy miss by eps relative.
 
     A perturbed solution is multiplied entrywise by 1 +- eps with fixed
     signs, an error that one GMRES step along the residual does not remove.
-    `direct` perturbs its condensed solves; `schur` its decoupled solves,
-    each of which starts one GMRES step.  Returns one entry per solve.
+    Both strategies solve by `op.solve`; in `schur` each solve starts one
+    GMRES step.  Returns one entry per solve.
     """
     op = system.operator
     signs = np.random.default_rng(0).choice([-1.0, 1.0], len(system.rhs))
@@ -273,10 +272,7 @@ def _perturb_solves(system, strategy, eps, misses):
             return x * (1.0 + eps * signs) if len(calls) <= misses else x
         return apply
 
-    if strategy == "direct":
-        op.lu = SimpleNamespace(solve=counted(op.lu.solve))
-    else:
-        op.schur_preconditioner = counted(op.schur_preconditioner)
+    op.solve = counted(op.solve)
     return calls
 
 
@@ -337,14 +333,11 @@ class TestFactorizations:
         run(data, mesh, p=1, r=r, n_steps=10, solver=solver)
         flux = build_pair(mesh, 1)[1]
         n_flux, n_edge = flux.n_dofs, flux.n_edge_dofs
-        # the initial flux projection factors the flux mass first
-        if solver == "direct":
-            # only the system in the edge flux moments is factored
-            assert calls == [(n_flux, n_flux), (r * n_edge, r * n_edge)]
-        else:
-            # one edge system per real eigenvalue or conjugate pair
-            assert calls == ([(n_flux, n_flux)]
-                             + [(n_edge, n_edge)] * ((r + 1) // 2))
+        # the initial flux projection factors the flux mass first, then
+        # both solvers factor one edge system per real eigenvalue or
+        # conjugate pair
+        assert calls == ([(n_flux, n_flux)]
+                         + [(n_edge, n_edge)] * ((r + 1) // 2))
 
     def test_distinct_steps_get_their_own_factor(self, mms_problem,
                                                  monkeypatch):
@@ -363,23 +356,46 @@ class TestFactorizations:
             got = np.concatenate([U.ravel(), Q.ravel()])
             assert np.max(np.abs(got - dense)) < 1e-10
             u0 = endpoint_value(basis, np.vstack([u0[None, :], U]))
-        # the flux projection's mass, then one edge system per step size
-        n_edge = 2 * flux.n_edge_dofs
+        # the flux projection's mass, then one edge system per step size (r = 2
+        # has one conjugate pair of shifts)
+        n_edge = flux.n_edge_dofs
         assert calls == [(flux.n_dofs, flux.n_dofs)] + [(n_edge, n_edge)] * 2
 
     def test_edge_factor_fill(self):
         # the symmetric ordering against scipy's default COLAMD with partial
-        # pivoting, on the same condensed matrix (the ratio is 0.51 here,
-        # about 0.73 on L3, where the edge system is smaller)
+        # pivoting, on the same condensed matrix of the one conjugate pair of
+        # shifts (the ratio is 0.54 here, about 0.73 on L3, where the edge
+        # system is smaller)
         scalar, flux = build_pair(unit_square_mesh(4), 2)
         matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
         op = matrices.operator(build_basis(2), 0.1)
-        lu = op.lu
-        edge_rows = op.matrix[lu.edge]
+        lam = np.linalg.eigvals(op.basis.alpha[:, 1:] / op.basis.beta[:, None])
+        lu = timeloop.CondensedLU(lam[lam.imag > 0][0], op.tau, op)
+        ne = flux.n_edge_dofs
         default = scipy.sparse.linalg.splu(
-            (edge_rows[:, lu.edge] - lu.a_gi @ lu.elim).tocsc())
+            (op.mass_flux[:ne, :ne] - lu.a_gi @ lu.elim).tocsc())
         fill = lu.edge_lu.L.nnz + lu.edge_lu.U.nnz
         assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
+
+    def test_direct_factor_fill(self, monkeypatch):
+        # the work guard of the decoupled solve: the coupled r-block edge
+        # system had nnz(L+U) = 412,944 here, the one shifted block 104,052
+        fills = []
+        splu = timeloop.spla.splu
+
+        def recorded(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        scalar, flux = build_pair(unit_square_mesh(4), 2)
+        op = SystemMatrices(scalar, flux, CoefficientField.identity()).operator(
+            build_basis(2), 1.0 / 160)
+        monkeypatch.setattr(timeloop.spla, "splu", recorded)
+        system = timeloop.StepSystem(interval=0, rhs=np.ones(op.matrix.shape[0]),
+                                     operator=op)
+        solve_step(system, strategy="direct")
+        assert len(fills) == 1 and fills[0] <= 110_000
 
 
 def _random_step(zero_data, p, r, distortion, seed):
@@ -417,7 +433,7 @@ def _rotated_diffusion(angle, ratio):
 
 
 class TestCondensedSolve:
-    """Both solvers, and the schur preconditioner, against dense solves."""
+    """Both solvers, and the exact solve they share, against dense solves."""
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @_step_cases
@@ -431,25 +447,15 @@ class TestCondensedSolve:
                          system.operator.tau)
         dense = np.linalg.solve(A, b)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
-        # one condensed solve, without the refinement solve_step may add
-        for x in (got, system.operator.lu.solve(b)):
+        # one exact solve, without the refinement solve_step may add, and
+        # real however many of its shifts are complex
+        one = system.operator.solve(b)
+        assert one.dtype == np.float64
+        for x in (got, one):
             assert _backward_error(A, x, b) <= 1e-14
         U, Q = solve_step(system, strategy="schur")
         got = np.concatenate([U.ravel(), Q.ravel()])
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
-
-    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
-    @_step_cases
-    def test_schur_preconditioner_is_exact(self, zero_data, p, r, distortion,
-                                           seed):
-        # without GMRES, one decoupled solve inverts the block matrix
-        system = _random_step(zero_data, p, r, distortion, seed)
-        A = _dense_block(system.operator, system.operator.basis,
-                         system.operator.tau)
-        b = system.rhs
-        x = system.operator.schur_preconditioner(b)
-        assert x.dtype == np.float64
-        assert _backward_error(A, x, b) <= 1e-14
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @given(p=hst.integers(0, 3), r=hst.integers(1, 5),
@@ -458,9 +464,9 @@ class TestCondensedSolve:
            angle=hst.floats(0.0, np.pi), log_ratio=hst.floats(0.0, 4.0))
     def test_one_symmetric_mode_solve_meets_tolerance(
             self, p, r, distortion, seed, log_tau, angle, log_ratio):
-        # the edge systems are factored with diagonal pivots only; one solve
-        # of either solver must still meet the tolerance without refinement,
-        # for tiny steps and strongly anisotropic diffusion
+        # the edge systems are factored with diagonal pivots only; one exact
+        # solve must still meet the tolerance without refinement, for tiny
+        # steps and strongly anisotropic diffusion
         try:
             mesh = distort(unit_square_mesh(2), distortion, seed)
         except InvalidMeshError:
@@ -470,11 +476,10 @@ class TestCondensedSolve:
                                   _rotated_diffusion(angle, 10.0**log_ratio))
         op = matrices.operator(build_basis(r), 10.0**log_tau)
         b = np.random.default_rng(seed).standard_normal(op.matrix.shape[0])
-        for inverse in (op.lu.solve, op.schur_preconditioner):
-            x = inverse(b)
-            error = np.linalg.norm(op.matrix @ x - b) / (
-                op.norm * np.linalg.norm(x) + np.linalg.norm(b))
-            assert error <= 1e-12
+        x = op.solve(b)
+        error = np.linalg.norm(op.matrix @ x - b) / (
+            op.norm * np.linalg.norm(x) + np.linalg.norm(b))
+        assert error <= 1e-12
 
     @pytest.mark.parametrize("p, r", [(2, 2), (1, 5)])
     def test_schur_step_takes_one_gmres_iteration(self, mms_problem,
@@ -488,7 +493,7 @@ class TestCondensedSolve:
         system = build_step_system(
             1, build_basis(r), SystemMatrices(scalar, flux, data.diffusion),
             data, u0, TimePartition.uniform(1.0, 160))
-        solves = _perturb_solves(system, "schur", eps=0.0, misses=0)
+        solves = _perturb_solves(system, eps=0.0, misses=0)
         solve_step(system, strategy="schur")
         assert len(solves) == 1
         assert iterations == [1]
@@ -504,7 +509,7 @@ class TestCondensedSolve:
             1, build_basis(2), SystemMatrices(scalar, flux, data.diffusion),
             data, u0, TimePartition.uniform(1.0, 20))
         iterations = _count_gmres(monkeypatch)
-        solves = _perturb_solves(system, "schur", eps=1e-3, misses=np.inf)
+        solves = _perturb_solves(system, eps=1e-3, misses=np.inf)
         with pytest.raises(SolverFailureError) as err:
             solve_step(system, strategy="schur")
         assert (err.value.interval, err.value.stage) == (1, "schur")
@@ -520,7 +525,7 @@ class TestCondensedSolve:
         op = matrices.operator(build_basis(2), 0.1)
         x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
         system = timeloop.StepSystem(interval=0, rhs=op.matrix @ x, operator=op)
-        monkeypatch.setattr(op, "schur_preconditioner", lambda b: x.copy())
+        monkeypatch.setattr(op, "solve", lambda b: x.copy())
         U, Q = solve_step(system, strategy="schur")
         np.testing.assert_array_equal(np.concatenate([U.ravel(), Q.ravel()]),
                                       x)
@@ -534,10 +539,10 @@ class TestIntervalOperator:
         op = SystemMatrices(scalar, flux, CoefficientField.identity()).operator(
             build_basis(2), 0.1)
         b = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
-        for x in (op.lu.solve(b), op.schur_preconditioner(b)):
-            error = np.linalg.norm(op.matrix @ x - b) / (
-                op.norm * np.linalg.norm(x) + np.linalg.norm(b))
-            assert error <= 1e-12
+        x = op.solve(b)
+        error = np.linalg.norm(op.matrix @ x - b) / (
+            op.norm * np.linalg.norm(x) + np.linalg.norm(b))
+        assert error <= 1e-12
 
     def test_no_cycle_keeps_the_operator_alive(self):
         # reference counting alone frees the operator with its factors:
@@ -546,8 +551,7 @@ class TestIntervalOperator:
         matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
         op = matrices.operator(build_basis(2), 0.1)
         b = np.ones(op.matrix.shape[0])
-        op.lu.solve(b)
-        op.schur_preconditioner(b)
+        op.solve(b)
         ref = weakref.ref(op)
         enabled = gc.isenabled()
         gc.disable()
