@@ -15,10 +15,14 @@ of M_D is rational, so the rule order is chosen one notch above
 polynomial exactness: (p+3) points per direction.  `evaluation` is the one
 place that picks that rule; M_W, M_D, B, the loads, the projections and the
 error norms read one set of tables per space and order, built on first use
-and kept on the space.  The tables are dense per cell, (cells, points,
-local dofs), and every consumer applies them with batched products over the
-cells: forward to evaluate a function, transposed to integrate against the
-basis.  M_D and B are sums over cells of Galerkin products L_c^T K_c R_c
+and kept on the space.  The cell geometry under that rule (physical points,
+Jacobians, determinants) is mapped once per mesh and order and shared,
+read-only, by the scalar and flux tables and by `rt_interpolate`.  The
+tables are dense per cell, (cells, points, local dofs), and every consumer
+applies them with batched products over the cells: forward to evaluate a
+function, transposed to integrate against the basis.  The scalar table is
+the same on every cell, so it is applied as one product with all cells'
+data instead.  M_D and B are sums over cells of Galerkin products L_c^T K_c R_c
 of two tables and a pointwise weight, built once from COO; in
 B = E^T diag(w) D the det J of the weights cancels the 1/det J of the flux
 divergences D.  An entry of M_D or B is a sum of n = 2 (p+3)^2 point terms,
@@ -29,6 +33,7 @@ from zero (most are the residue of integrals that vanish), so they are not
 stored.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import InvalidCoefficientError, InvalidMeshError
 from .mesh import bilinear_map
-from .quadrature import TensorRule2D, gauss_legendre_unit, tensor, tensor_unit
+from .quadrature import TensorRule2D, gauss_legendre_unit, tensor_unit
 from .spaces import FluxSpace, ScalarSpace
 
 # SuperLU options for the symmetric systems the package factors: the flux
@@ -109,6 +114,23 @@ def cell_geometry(mesh, rule):
     return phys, J, det
 
 
+# cell_geometry under the order x order Gauss rule, by mesh and order; the
+# arrays are read-only (exact fields may cache values at the points), and a
+# mesh's entries go with it
+_GEOMETRY = weakref.WeakKeyDictionary()
+
+
+def _mesh_geometry(mesh, order):
+    """cell_geometry of the mesh under tensor_unit(order), mapped once."""
+    by_order = _GEOMETRY.setdefault(mesh, {})
+    if order not in by_order:
+        geometry = cell_geometry(mesh, tensor_unit(order))
+        for array in geometry:
+            array.flags.writeable = False
+        by_order[order] = geometry
+    return by_order[order]
+
+
 def piola_values(space, rule, geometry=None):
     """Signed physical flux basis values per cell, plus divergence and geometry.
 
@@ -142,7 +164,9 @@ class Evaluation:
     fluxes these are signed Piola values with the x and y rows of a point
     interleaved, and `divs[c]` maps them to the divergence (None for
     scalars).  A scalar table is the same on every cell, so `values` is a
-    read-only broadcast of the reference table.
+    read-only broadcast of the reference table, and a table with stride 0
+    over the cells is applied as one product of its first cell's table with
+    all cells' data.
     """
 
     rule: TensorRule2D     # the reference rule the tables were built from
@@ -155,6 +179,10 @@ class Evaluation:
 
     def apply(self, table, coeffs):
         """The table applied to global coefficients (n_dofs, k): (nc, rows, k)."""
+        if table.strides[0] == 0:    # one table for all cells: one product
+            nc, rows, nl = table.shape
+            local = coeffs.T[:, self.cell_dofs].reshape(-1, nl)  # (k nc, nl)
+            return (local @ table[0].T).reshape(-1, nc, rows).transpose(1, 2, 0)
         local = np.stack([column[self.cell_dofs] for column in coeffs.T], axis=-1)
         return np.matmul(table, local)
 
@@ -163,11 +191,17 @@ class Evaluation:
         dofs: (n_dofs, k).  data holds k numbers per table row, ordered by
         cell, row and column: (nc * rows, k), or any shape of that size."""
         nc, rows, _ = table.shape
-        local = np.matmul(table.transpose(0, 2, 1), data.reshape(nc, rows, -1))
+        data = data.reshape(nc * rows, -1)
+        if table.strides[0] == 0:    # one table for all cells: one product
+            local = data.T.reshape(-1, rows) @ table[0]          # (k nc, nl)
+            columns = local.reshape(data.shape[1], -1)
+        else:
+            local = np.matmul(table.transpose(0, 2, 1), data.reshape(nc, rows, -1))
+            columns = local.reshape(self.cell_dofs.size, -1).T
         dofs = self.cell_dofs.ravel()
         return np.column_stack([
             np.bincount(dofs, weights=column, minlength=self.n_dofs)
-            for column in local.reshape(len(dofs), -1).T])
+            for column in columns])
 
 
 def evaluation(space, order=None):
@@ -180,9 +214,8 @@ def evaluation(space, order=None):
     if order in space.evaluations:
         return space.evaluations[order]
     rule = tensor_unit(order)
-    geometry = cell_geometry(space.mesh, rule)
+    geometry = _mesh_geometry(space.mesh, order)
     phys, _, det = geometry
-    phys.flags.writeable = False    # exact fields may cache values at them
     if isinstance(space, FluxSpace):
         vals, divs, _ = piola_values(space, rule, geometry)
         nc, nq, nl, _ = vals.shape
@@ -314,12 +347,15 @@ def l2_project_flux(g, space):
     coefficients.
 
     The flux mass is SPD, so it is factored with `SYMMETRIC_SPLU` (minimum
-    degree ordering of A + A^T, diagonal pivots).
+    degree ordering of A + A^T, diagonal pivots).  Where every moment of g
+    is zero the projection is zero, and no mass is assembled or factored.
     """
     if not isinstance(space, FluxSpace):
         raise TypeError("l2_project_flux needs a flux space")
-    mass = assemble_weighted_mass_flux(space, CoefficientField.identity())
     rhs = assemble_flux_moments(space, g)
+    if not rhs.any():    # NaN moments are not zero and reach the solve
+        return np.zeros(space.n_dofs)
+    mass = assemble_weighted_mass_flux(space, CoefficientField.identity())
     return spla.splu(mass.tocsc(), **SYMMETRIC_SPLU).solve(rhs)
 
 
@@ -336,7 +372,8 @@ def rt_interpolate(g, space, order=None):
     if not isinstance(space, FluxSpace):
         raise TypeError("rt_interpolate needs a flux space")
     mesh = space.mesh
-    rule_1d = gauss_legendre_unit(space.p + 3 if order is None else order)
+    order = space.p + 3 if order is None else order
+    rule_1d = gauss_legendre_unit(order)
     edge_w, interior_w = space.ref.dof_weights(rule_1d)
     coef = np.empty(space.n_dofs)
     start, end, normal = mesh.edge_frames()
@@ -345,7 +382,7 @@ def rt_interpolate(g, space, order=None):
     length = np.linalg.norm(end - start, axis=1)
     coef[:space.n_edge_dofs] = (length[:, None] * (gn @ edge_w)).ravel()
     if space.ref.n_interior_dofs:
-        phys, J, _ = cell_geometry(mesh, tensor(rule_1d, rule_1d))
+        phys, J, _ = _mesh_geometry(mesh, order)
         gv = g(phys.reshape(-1, 2)).reshape(phys.shape)
         # inverse Piola: det J * J^{-1} g
         ghat = np.empty_like(gv)

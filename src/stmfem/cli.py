@@ -2,8 +2,10 @@
 
 Flags override values loaded from an optional key=value config file.  A run
 writes CSV, markdown, and plot-data tables into the output directory and
-prints the markdown table; exit code is nonzero with a stage diagnostic on
-failure.
+prints the markdown table.  On failure it prints a diagnostic naming the
+stage and exits nonzero: 2 for a configuration error, 1 for a failed run, 3
+for an output directory or table that cannot be written.  The output
+directory is created before the sweep runs.
 """
 
 import argparse
@@ -91,6 +93,11 @@ def build_config(args):
     return harness.ExperimentConfig(**values)
 
 
+def _output_error(exc):
+    print(f"stmfem: output error: {exc}", file=sys.stderr)
+    return 3
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -98,7 +105,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"stmfem: configuration error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
 
     def progress(level, eu, eq, wall):
         if not args.quiet:
@@ -111,15 +121,18 @@ def main(argv=None):
         print(f"stmfem: run failed: {exc}", file=sys.stderr)
         return 1
     tag = f"r{config.r}_p{config.p}_d{int(round(100 * config.distortion))}"
-    for fmt, name in (("csv", f"convergence_{tag}.csv"),
-                      ("markdown", f"convergence_{tag}.md"),
-                      ("plot-data", f"convergence_{tag}.dat")):
-        harness.emit_tables(record, fmt, os.path.join(config.out_dir, name))
-    if args.dump_meshes:
-        for level in config.levels():
-            m = harness.build_level_mesh(config, level)
-            write_text(m, os.path.join(config.out_dir,
-                                       f"mesh_level{level}_{tag}.txt"))
+    try:
+        for fmt, name in (("csv", f"convergence_{tag}.csv"),
+                          ("markdown", f"convergence_{tag}.md"),
+                          ("plot-data", f"convergence_{tag}.dat")):
+            harness.emit_tables(record, fmt, os.path.join(config.out_dir, name))
+        if args.dump_meshes:
+            for level in config.levels():
+                m = harness.build_level_mesh(config, level)
+                write_text(m, os.path.join(config.out_dir,
+                                           f"mesh_level{level}_{tag}.txt"))
+    except OSError as exc:
+        return _output_error(exc)
     if not args.quiet:
         print(f"config hash: {record.config_hash}")
         print(harness.to_markdown(record))

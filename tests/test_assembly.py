@@ -445,9 +445,60 @@ def test_run_and_error_norms_build_one_table_per_space_and_order(
     error_q_V(solution, exact)
     scalar, flux = solution.scalar_space, solution.flux_space
     assert list(scalar.evaluations) == list(flux.evaluations) == [4]
-    assert len(calls) == 2
+    assert len(calls) == 1
     error_u(solution, exact, space_order=8)
     assert list(scalar.evaluations) == [4, 8]
     assert list(flux.evaluations) == [4]
-    assert len(calls) == 3
+    assert len(calls) == 2
 
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(p=hst.integers(0, 3), distortion=hst.floats(0.0, 0.45, exclude_max=True),
+       seed=hst.integers(0, 2**32 - 1), k=hst.integers(1, 3))
+def test_scalar_table_is_applied_as_one_product(p, distortion, seed, k):
+    # the broadcast scalar table takes the one-product path; a copy of it,
+    # one table per cell, takes the per-cell batched product.  Both sum the
+    # same n_local or rows terms per entry, so they agree to the rounding of
+    # that sum, bounded by the sum of the terms' magnitudes
+    try:
+        m = distort(unit_square_mesh(2), distortion, seed)
+    except InvalidMeshError:
+        reject()
+    scalar, _ = build_pair(m, p)
+    ev = evaluation(scalar)
+    per_cell = np.array(ev.values)
+    assert ev.values.strides[0] == 0 and per_cell.strides[0] != 0
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((scalar.n_dofs, k))
+    g = rng.standard_normal((len(ev.weights), k))
+    for apply, x in ((ev.apply, c), (ev.apply_transposed, g)):
+        one, batched = apply(ev.values, x), apply(per_cell, x)
+        assert one.shape == batched.shape
+        scale = apply(np.abs(per_cell), np.abs(x))
+        assert np.all(np.abs(one - batched) <= 1e-14 * scale)
+
+
+def test_cell_geometry_is_mapped_once_per_mesh_and_order(monkeypatch):
+    import stmfem.assembly as asm
+
+    calls = []
+    original = asm.cell_geometry
+
+    def counting(mesh, rule):
+        calls.append(len(rule.weights))
+        return original(mesh, rule)
+
+    monkeypatch.setattr(asm, "cell_geometry", counting)
+    m = distort(unit_square_mesh(2), 0.2, level_seed(29, 2))
+    scalar, flux = build_pair(m, 2)
+    ev_u, ev_q = evaluation(scalar), evaluation(flux)
+    rt_interpolate(lambda x: np.ones_like(np.atleast_2d(x)), flux)
+    assert calls == [25]
+    assert np.shares_memory(ev_u.points, ev_q.points)
+    assert not ev_u.points.flags.writeable
+    # another space pair on the same mesh shares it too; another order maps
+    # anew, and cell_geometry itself is not cached
+    evaluation(build_pair(m, 2)[0])
+    rt_interpolate(lambda x: np.ones_like(np.atleast_2d(x)), flux, order=4)
+    phys, _, _ = asm.cell_geometry(m, tensor_unit(5))
+    assert calls == [25, 16, 25] and phys.flags.writeable

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from stmfem import harness
 from stmfem.cli import main as cli_main
 from stmfem.harness import (
     ExperimentConfig,
@@ -176,6 +177,27 @@ class TestCli:
         bad.write_text("nope = 1\n")
         assert cli_main(["--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_output_path_that_is_a_file_fails_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_convergence", sweep)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["--levels", "0..0", "--out", str(taken)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("stmfem: output error: ")
+        assert "Traceback" not in err
+
+    def test_table_that_cannot_be_written_is_an_output_error(self, tmp_path,
+                                                            capsys):
+        (tmp_path / "convergence_r2_p2_d0.md").mkdir()
+        code = cli_main(["--levels", "0..0", "--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("stmfem: output error: cannot write table to ")
 
     def test_bad_levels_rejected(self, capsys):
         assert cli_main(["--levels", "3..1"]) == 2

@@ -312,6 +312,42 @@ class TestFluxProjection:
         proj = l2_project_flux(z, flux)
         assert np.max(np.abs(proj)) < 1e-14
 
+    def test_zero_field_factors_nothing(self, monkeypatch):
+        # P_h 0 = 0 for any mass, so no mass is assembled or factored
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the zero projection assembled or factored")
+
+        monkeypatch.setattr(assembly, "assemble_weighted_mass_flux", unexpected)
+        monkeypatch.setattr(assembly.spla, "splu", unexpected)
+        _, flux = build_pair(unit_square_mesh(1), 2)
+        proj = l2_project_flux(lambda x: np.zeros((len(x), 2)), flux)
+        assert proj.shape == (flux.n_dofs,) and not proj.any()
+
+    @pytest.mark.parametrize("value", [1.0, np.nan])
+    def test_nonzero_field_factors_the_mass_once(self, monkeypatch,
+                                                 distorted_mesh, value):
+        # a nonzero datum takes the mass solve, NaN moments included
+        shapes = []
+        splu = assembly.spla.splu
+
+        def counted(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(assembly.spla, "splu", counted)
+        _, flux = build_pair(distorted_mesh, 1)
+        g = lambda x: np.column_stack([np.full(len(x), value), x[:, 0] * x[:, 1]])
+        proj = l2_project_flux(g, flux)
+        assert shapes == [(flux.n_dofs, flux.n_dofs)]
+        if np.isnan(value):
+            assert np.isnan(proj).any()
+            return
+        mass = assembly.assemble_weighted_mass_flux(
+            flux, assembly.CoefficientField.identity())
+        dense = np.linalg.solve(mass.toarray(),
+                                assembly.assemble_flux_moments(flux, g))
+        assert np.max(np.abs(proj - dense)) <= 1e-12 * np.max(np.abs(dense))
+
     def test_orthogonality_residual(self, distorted_mesh):
         # orthogonality holds against the same quadrature the solve used
         _, flux = build_pair(distorted_mesh, 1)

@@ -331,13 +331,10 @@ class TestFactorizations:
         mesh = unit_square_mesh(1)
         calls = _count_splu(monkeypatch)
         run(data, mesh, p=1, r=r, n_steps=10, solver=solver)
-        flux = build_pair(mesh, 1)[1]
-        n_flux, n_edge = flux.n_dofs, flux.n_edge_dofs
-        # the initial flux projection factors the flux mass first, then
-        # both solvers factor one edge system per real eigenvalue or
-        # conjugate pair
-        assert calls == ([(n_flux, n_flux)]
-                         + [(n_edge, n_edge)] * ((r + 1) // 2))
+        n_edge = build_pair(mesh, 1)[1].n_edge_dofs
+        # the initial flux is zero, so its projection factors nothing; both
+        # solvers factor one edge system per real eigenvalue or conjugate pair
+        assert calls == [(n_edge, n_edge)] * ((r + 1) // 2)
 
     def test_distinct_steps_get_their_own_factor(self, mms_problem,
                                                  monkeypatch):
@@ -356,10 +353,10 @@ class TestFactorizations:
             got = np.concatenate([U.ravel(), Q.ravel()])
             assert np.max(np.abs(got - dense)) < 1e-10
             u0 = endpoint_value(basis, np.vstack([u0[None, :], U]))
-        # the flux projection's mass, then one edge system per step size (r = 2
-        # has one conjugate pair of shifts)
+        # one edge system per step size (r = 2 has one conjugate pair of
+        # shifts); the zero initial flux factors nothing
         n_edge = flux.n_edge_dofs
-        assert calls == [(flux.n_dofs, flux.n_dofs)] + [(n_edge, n_edge)] * 2
+        assert calls == [(n_edge, n_edge)] * 2
 
     def test_edge_factor_fill(self):
         # the symmetric ordering against scipy's default COLAMD with partial

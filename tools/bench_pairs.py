@@ -1,0 +1,190 @@
+"""Alternating benchmark pairs of the HEAD commit and the working tree.
+
+    python3 tools/bench_pairs.py --workload fine-mesh --pairs 10 --seed 1 \\
+        --seconds 30 [--trace 0|1]
+    python3 tools/bench_pairs.py --summary BENCH_<commit>.json
+
+Checks HEAD, the parent of the change, out into a temporary `git worktree`
+(removed afterwards) and runs `perfbench/run.py` in it and in this
+checkout, working tree as it stands, in alternating pairs: pair i runs the
+parent first when i is even and the change first when i is odd.  Every run
+is appended to `BENCH_<short parent commit>.json` at the repo root as soon
+as it ends, with its workload, seed, trace flag, pair, position in the pair
+and the last two stdout lines of run.py verbatim (the `{"info": ...}` line
+and the result line), so repeated calls, for other seeds or workloads, add
+to one file.  A run that exceeds the time limit is kept as a failed run
+with exit code null and no lines.  The summary (medians, the parent's
+interquartile range, and in how many pairs the change is lower) is
+computed from that file alone.
+"""
+
+import argparse
+import datetime
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 600
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def pair_order(pair):
+    """The sides of one pair in the order they run."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def run_once(command, checkout, workload, seed, seconds, trace):
+    """One benchmark run in a checkout: (exit code, last two stdout lines);
+    (None, []) if it exceeds RUN_TIMEOUT_S."""
+    try:
+        proc = subprocess.run(
+            command + ["--workload", workload, "--seed", str(seed),
+                       "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True,
+            timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, []
+    return proc.returncode, proc.stdout.strip().splitlines()[-2:]
+
+
+def run_pairs(checkouts, command, workloads, pairs, seed, seconds, trace):
+    """Run every workload in `pairs` alternating pairs; yields the run
+    records as they end."""
+    for pair in range(pairs):
+        for workload in workloads:
+            for position, side in enumerate(pair_order(pair)):
+                code, lines = run_once(command, checkouts[side], workload,
+                                       seed, seconds, trace)
+                print(f"pair {pair} {workload} {side}: exit {code}",
+                      file=sys.stderr, flush=True)
+                yield dict(workload=workload, seed=seed, trace=trace,
+                           pair=pair, position=position, side=side,
+                           exit_code=code, lines=lines)
+
+
+def bench(repo, command, workloads, pairs, seed, seconds, trace,
+          tmp_root=None):
+    """Measure HEAD against the working tree; returns the file's path."""
+    repo = Path(repo)
+    head = git(repo, "rev-parse", "HEAD")
+    path = repo / f"BENCH_{head[:7]}.json"
+    record = (json.loads(path.read_text()) if path.exists()
+              else {"parent": head, "sessions": []})
+    session = dict(
+        started=datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"),
+        change_head=head,
+        change_dirty=bool(git(repo, "status", "--porcelain", "--", "src")),
+        command=command, runs=[])
+    record["sessions"].append(session)
+    with tempfile.TemporaryDirectory(dir=tmp_root) as tmp:
+        worktree = Path(tmp) / "parent"
+        git(repo, "worktree", "add", "--detach", str(worktree), head)
+        try:
+            for run in run_pairs({"parent": worktree, "change": repo},
+                                 command, workloads, pairs, seed, seconds,
+                                 trace):
+                session["runs"].append(run)
+                path.write_text(json.dumps(record, indent=1) + "\n")
+        finally:
+            git(repo, "worktree", "remove", "--force", str(worktree))
+    return path
+
+
+def result_line(run):
+    """One run's parsed result line ({} if it failed)."""
+    try:
+        return json.loads(run["lines"][-1])
+    except (IndexError, ValueError):
+        return {}
+
+
+def metric_values(run):
+    """metric name -> value of one run's result line (empty if it failed)."""
+    return {name: m["value"]
+            for name, m in result_line(run).get("metrics", {}).items()}
+
+
+def source_digest(run):
+    """The digest of the benchmarked source in a run's info line."""
+    try:
+        return json.loads(run["lines"][0])["info"]["source_sha256"]
+    except (IndexError, KeyError, TypeError, ValueError):
+        return "unknown"
+
+
+def summarize(record):
+    """One line per (workload, seed, trace, change source, metric): medians
+    of both sides, the parent's interquartile range, and the pairs the
+    change wins.  Pairs whose change runs measured different sources (a
+    change revised between sessions) are never pooled."""
+    pairs = {}
+    for session in record["sessions"]:
+        for run in session["runs"]:
+            pair = (id(session), run["workload"], run["pair"])
+            pairs.setdefault(pair, {})[run["side"]] = run
+    groups = {}
+    for pair in pairs.values():
+        if len(pair) == 2:
+            run = pair["change"]
+            key = (run["workload"], run["seed"], run["trace"],
+                   source_digest(run))
+            groups.setdefault(key, []).append(pair)
+    lines = []
+    for (workload, seed, trace, source), complete in sorted(groups.items()):
+        values = [{side: metric_values(p[side]) for side in SIDES}
+                  for p in complete]
+        correct = sum(result_line(p[side]).get("correct") is True
+                      for p in complete for side in SIDES)
+        lines.append(f"{workload} seed {seed} trace {trace} source {source}: "
+                     f"{len(complete)} pairs, {correct} of {2 * len(complete)}"
+                     " runs correct")
+        names = sorted(set().union(*(v["parent"] for v in values))) if values else []
+        for name in names:
+            par = [v["parent"].get(name) for v in values]
+            chg = [v["change"].get(name) for v in values]
+            if None in par or None in chg:
+                continue
+            mp, mc = statistics.median(par), statistics.median(chg)
+            q1, _, q3 = (statistics.quantiles(par, n=4) if len(par) > 1
+                         else (par[0],) * 3)
+            wins = sum(c < p for p, c in zip(par, chg))
+            change = f"{mc / mp - 1:+.1%}" if mp else "n/a"
+            lines.append(f"  {name}: {mp:.6g} -> {mc:.6g} ({change}), parent "
+                         f"IQR {q3 - q1:.3g}, change lower in {wins}/{len(par)}")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", action="append",
+                        help="workload name; repeat for several")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--summary", metavar="FILE",
+                        help="print the summary of a BENCH_*.json and exit")
+    args = parser.parse_args(argv)
+    if args.summary:
+        print(summarize(json.loads(Path(args.summary).read_text())))
+        return 0
+    if not args.workload:
+        parser.error("give at least one --workload")
+    path = bench(ROOT, [sys.executable, "perfbench/run.py"],
+                 args.workload, args.pairs, args.seed, args.seconds, args.trace)
+    print(summarize(json.loads(path.read_text())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
