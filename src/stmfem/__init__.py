@@ -8,7 +8,7 @@ from .assembly import (
 )
 from .mesh import QuadMesh, distort, h_max, unit_square_mesh, validity_check
 from .mms import ManufacturedSolution, eoc, error_q_V, error_u, mms_standard
-from .quadrature import gauss_legendre, gauss_legendre_unit, map_to_unit, tensor
+from .quadrature import gauss_legendre_unit, tensor
 from .spaces import build_pair
 from .timebasis import TemporalBasis, TimePartition, build_basis
 from .timeloop import ProblemData, SpaceTimeSolution, run
@@ -27,12 +27,10 @@ __all__ = [
     "eoc",
     "error_q_V",
     "error_u",
-    "gauss_legendre",
     "gauss_legendre_unit",
     "h_max",
     "l2_project_flux",
     "l2_project_scalar",
-    "map_to_unit",
     "mms_standard",
     "rt_interpolate",
     "run",

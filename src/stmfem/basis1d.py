@@ -1,6 +1,7 @@
 """One-dimensional polynomial bases: barycentric Lagrange and shifted Legendre."""
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legvander
 
 
 class LagrangeBasis1D:
@@ -58,33 +59,15 @@ def shifted_legendre(max_degree, x):
     Returns shape (npts, max_degree + 1).  P~_k(1 - x) = (-1)^k P~_k(x),
     which is what makes edge-moment reversal a pure sign flip.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = 2.0 * x - 1.0
-    vals = np.empty((len(x), max_degree + 1))
-    vals[:, 0] = 1.0
-    if max_degree >= 1:
-        vals[:, 1] = t
-    for k in range(1, max_degree):
-        vals[:, k + 1] = ((2 * k + 1) * t * vals[:, k] - k * vals[:, k - 1]) / (k + 1)
-    return vals
+    return legvander(2.0 * np.atleast_1d(np.asarray(x, dtype=float)) - 1.0,
+                     max_degree)
 
 
 def shifted_legendre_deriv(max_degree, x):
     """Derivatives of the shifted Legendre polynomials on [0, 1] at x.
 
-    Uses P'_{k+1} = P'_{k-1} + (2k + 1) P_k, which is stable at the endpoints,
-    plus the chain-rule factor 2 from the shift.
+    The degree-(k - 1) table times the Legendre coefficients of each
+    derivative, with the chain-rule factor 2 from the shift.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = 2.0 * x - 1.0
-    vals = np.empty((len(x), max_degree + 1))
-    ders = np.empty((len(x), max_degree + 1))
-    vals[:, 0] = 1.0
-    ders[:, 0] = 0.0
-    if max_degree >= 1:
-        vals[:, 1] = t
-        ders[:, 1] = 1.0
-    for k in range(1, max_degree):
-        vals[:, k + 1] = ((2 * k + 1) * t * vals[:, k] - k * vals[:, k - 1]) / (k + 1)
-        ders[:, k + 1] = ders[:, k - 1] + (2 * k + 1) * vals[:, k]
-    return 2.0 * ders
+    return (shifted_legendre(max(max_degree - 1, 0), x)
+            @ legder(np.eye(max_degree + 1), scl=2.0))

@@ -11,6 +11,7 @@ directory is created before the sweep runs.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import harness
 from .mesh import write_text
@@ -63,12 +64,8 @@ def build_parser():
     return parser
 
 
-_CONFIG_CASTS = {
-    "r": int, "p": int, "level_min": int, "level_max": int,
-    "n_steps_base": int, "seed": int,
-    "final_time": float, "omega": float, "distortion": float,
-    "solver": str, "out_dir": str,
-}
+# config-file values are cast to the type of the field they set
+_CONFIG_CASTS = {f.name: f.type for f in fields(harness.ExperimentConfig)}
 
 
 def build_config(args):
@@ -83,13 +80,13 @@ def build_config(args):
                 raise ValueError(f"unknown config key {key!r}")
     if args.levels:
         values["level_min"], values["level_max"] = _parse_levels(args.levels)
-    for name in ("r", "p", "distortion", "seed", "solver", "omega",
-                 "final_time", "n_steps_base"):
-        val = getattr(args, name)
-        if val is not None:
-            values[name] = val
     if args.out is not None:
         values["out_dir"] = args.out
+    # every other flag is spelled as the field it sets
+    for name in _CONFIG_CASTS:
+        val = getattr(args, name, None)
+        if val is not None:
+            values[name] = val
     return harness.ExperimentConfig(**values)
 
 

@@ -8,6 +8,7 @@ together with their experimental orders.
 
 import hashlib
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, fields
@@ -53,8 +54,11 @@ class ExperimentConfig:
             raise ValueError(f"r must be in 1..{timebasis.MAX_DEGREE}, got {self.r}")
         if self.n_steps_base < 1:
             raise ValueError("n_steps_base must be at least 1")
-        if not self.final_time > 0.0:
-            raise ValueError("final_time must be positive")
+        if not 0.0 < self.final_time < math.inf:
+            raise ValueError(f"final_time must be positive and finite, "
+                             f"got {self.final_time!r}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega!r}")
         if self.solver not in ("direct", "schur"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if not 0.0 <= self.distortion < 0.5:
@@ -140,36 +144,40 @@ def _fmt_eoc(x):
     return "" if x is None else f"{x:.2f}"
 
 
-CSV_HEADER = "level,N,tau,cells,h,ndof,err_u,eoc_u,err_q_V,eoc_q"
+# the table columns: CSV name, markdown name, ErrorReport attribute, format
+_COLUMNS = (
+    ("level", "level", "levels", str),
+    ("N", "N", "n_steps", str),
+    ("tau", "tau", "tau", _fmt),
+    ("cells", "cells", "n_cells", str),
+    ("h", "h", "h", _fmt),
+    ("ndof", "ndof", "n_dofs", str),
+    ("err_u", "err_u", "err_u", _fmt),
+    ("eoc_u", "EOC", "eoc_u", _fmt_eoc),
+    ("err_q_V", "err_q_V", "err_q", _fmt),
+    ("eoc_q", "EOC", "eoc_q", _fmt_eoc),
+)
+
+
+def _rows(record):
+    """The formatted cells of the table, one list per level."""
+    rep = record.report
+    return [[fmt(getattr(rep, attr)[i]) for _, _, attr, fmt in _COLUMNS]
+            for i in range(len(rep.levels))]
 
 
 def to_csv(record):
     """CSV table, one row per level, 5 significant digits for reals."""
-    rep = record.report
-    lines = [CSV_HEADER]
-    for i, lvl in enumerate(rep.levels):
-        lines.append(",".join([
-            str(lvl), str(rep.n_steps[i]), _fmt(rep.tau[i]),
-            str(rep.n_cells[i]), _fmt(rep.h[i]), str(rep.n_dofs[i]),
-            _fmt(rep.err_u[i]), _fmt_eoc(rep.eoc_u[i]),
-            _fmt(rep.err_q[i]), _fmt_eoc(rep.eoc_q[i]),
-        ]))
+    lines = [",".join(col[0] for col in _COLUMNS)]
+    lines += [",".join(row) for row in _rows(record)]
     return "\n".join(lines) + "\n"
 
 
 def to_markdown(record):
     """Markdown table mirroring the convergence-table layout."""
-    rep = record.report
-    lines = [
-        "| level | N | tau | cells | h | ndof | err_u | EOC | err_q_V | EOC |",
-        "|---|---|---|---|---|---|---|---|---|---|",
-    ]
-    for i, lvl in enumerate(rep.levels):
-        lines.append(
-            f"| {lvl} | {rep.n_steps[i]} | {_fmt(rep.tau[i])} | "
-            f"{rep.n_cells[i]} | {_fmt(rep.h[i])} | {rep.n_dofs[i]} | "
-            f"{_fmt(rep.err_u[i])} | {_fmt_eoc(rep.eoc_u[i])} | "
-            f"{_fmt(rep.err_q[i])} | {_fmt_eoc(rep.eoc_q[i])} |")
+    lines = ["| " + " | ".join(col[1] for col in _COLUMNS) + " |",
+             "|" + "---|" * len(_COLUMNS)]
+    lines += ["| " + " | ".join(row) + " |" for row in _rows(record)]
     return "\n".join(lines) + "\n"
 
 

@@ -35,15 +35,18 @@ def repo(tmp_path):
         pytest.skip("git is not installed")
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
-    (repo / "src").mkdir()
+    (repo / "src" / "stmfem").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(STUB)
     (repo / "src" / "side.txt").write_text("parent\n")
+    (repo / "src" / "stmfem" / "a.py").write_text("x = 1\n")
+    (repo / "src" / "stmfem" / "b.py").write_text("y = 2\nz = 3\n")
     git = ["git", "-C", str(repo), "-c", "user.name=bench",
            "-c", "user.email=bench@example.org"]
     subprocess.run(git[:3] + ["init", "-q"], check=True)
     subprocess.run(git + ["add", "-A"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
     (repo / "src" / "side.txt").write_text("change\n")
+    (repo / "src" / "stmfem" / "b.py").write_text("y = 2\n")
     return repo
 
 
@@ -78,7 +81,8 @@ def test_pairs_alternate_and_the_file_keeps_every_run(repo, tmp_path,
                                         "1", "--seconds", "30", "--trace", "0"]
         assert result["correct"] and run["exit_code"] == 0
         assert (run["seed"], run["trace"]) == (1, 0)
-    # the worktree is gone, and a second call adds a session to the file
+        assert run["source_lines"] == {"parent": 3, "change": 2}[run["side"]]
+    # the parent's copy is gone, and a second call adds a session to the file
     worktrees = subprocess.run(["git", "-C", str(repo), "worktree", "list"],
                                capture_output=True, text=True).stdout
     assert len(worktrees.splitlines()) == 1 and not any(work.iterdir())
@@ -87,6 +91,7 @@ def test_pairs_alternate_and_the_file_keeps_every_run(repo, tmp_path,
     assert [len(s["runs"]) for s in record["sessions"]] == [12, 2]
     summary = bench_pairs.summarize(record)
     assert "a seed 1 trace 0 source cha: 3 pairs, 6 of 6 runs correct" in summary
+    assert "  src/stmfem lines: 3 -> 2\n" in summary
     assert "sweep_s: 2 -> 1 (-50.0%), parent IQR 0, change lower in 3/3" in summary
     assert "a seed 2 trace 0 source cha: 1 pairs" in summary
 
@@ -114,3 +119,5 @@ def test_summary_counts_failed_runs_and_keeps_sources_apart():
     assert "a seed 1 trace 0 source s2: 1 pairs, 2 of 2 runs correct" in summary
     assert ("a seed 1 trace 0 source unknown: 2 pairs, 0 of 4 runs correct"
             in summary)
+    # runs recorded before line counts were kept
+    assert "  src/stmfem lines: unknown -> unknown\n" in summary

@@ -45,7 +45,9 @@ class TestConfig:
         dict(p=-1), dict(p=5), dict(r=0), dict(r=6),
         dict(level_min=9, level_max=9), dict(level_max=9),
         dict(n_steps_base=0), dict(final_time=0.0), dict(final_time=-1.0),
-        dict(p=2.0),
+        dict(p=2.0), dict(omega=float("nan")), dict(omega=float("inf")),
+        dict(omega=float("-inf")), dict(final_time=float("inf")),
+        dict(final_time=float("nan")),
     ])
     def test_out_of_range_rejected(self, values):
         with pytest.raises(ValueError):
@@ -206,6 +208,7 @@ class TestCli:
         ["--p", "7"], ["--r", "6"], ["--n-steps-base", "0"],
         ["--final-time", "-1"], ["--levels", "9..9"],
         ["--seed", "-1", "--distortion", "0.1"],
+        ["--omega", "nan"], ["--omega", "inf"], ["--final-time", "inf"],
     ])
     def test_out_of_range_flags_are_configuration_errors(self, tmp_path,
                                                          capsys, argv):

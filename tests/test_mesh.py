@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from numpy.testing import assert_allclose
 
 from stmfem.exceptions import InvalidMeshError
 from stmfem.mesh import (
+    QuadMesh,
+    bilinear_map,
     distort,
     export_text,
     h_max,
@@ -206,6 +209,25 @@ def test_validity_failure_reports_cell():
         from stmfem.spaces import build_pair
         build_pair(folded, 1)
     assert "cell" in str(err.value)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(amplitude=hst.floats(0.0, 1.0),
+       shifts=hst.lists(hst.floats(-1.0, 1.0), min_size=18, max_size=18))
+def test_corner_check_agrees_with_dense_sampling(amplitude, shifts):
+    # moving all nine vertices of the 2 x 2 mesh by up to h gives
+    # valid, distorted and folded quads
+    m = unit_square_mesh(1)
+    vertices = m.vertices + 0.5 * amplitude * np.reshape(shifts, (9, 2))
+    mesh = QuadMesh(vertices, m.cells, level=1)
+    report = validity_check(mesh)
+    s = np.linspace(0.0, 1.0, 31)
+    dense = np.column_stack([np.tile(s, 31), np.repeat(s, 31)])
+    _, _, det = bilinear_map(mesh.cell_corner_array(), dense)
+    cell_min = det.min(axis=1)
+    assert report.ok == bool(np.all(cell_min > 0.0))
+    assert report.bad_cells == tuple(np.flatnonzero(cell_min <= 0.0))
+    assert report.min_det == pytest.approx(cell_min.min(), rel=1e-12, abs=1e-16)
 
 
 def test_inverting_distortion_names_its_stage():

@@ -4,26 +4,30 @@
         --seconds 30 [--trace 0|1]
     python3 tools/bench_pairs.py --summary BENCH_<commit>.json
 
-Checks HEAD, the parent of the change, out into a temporary `git worktree`
-(removed afterwards) and runs `perfbench/run.py` in it and in this
-checkout, working tree as it stands, in alternating pairs: pair i runs the
-parent first when i is even and the change first when i is odd.  Every run
-is appended to `BENCH_<short parent commit>.json` at the repo root as soon
-as it ends, with its workload, seed, trace flag, pair, position in the pair
-and the last two stdout lines of run.py verbatim (the `{"info": ...}` line
-and the result line), so repeated calls, for other seeds or workloads, add
-to one file.  A run that exceeds the time limit is kept as a failed run
-with exit code null and no lines.  The summary (medians, the parent's
+Exports HEAD, the parent of the change, into a temporary directory with
+`git archive` (removed afterwards) and runs `perfbench/run.py` in it and in
+this checkout, working tree as it stands, in alternating pairs: pair i runs
+the parent first when i is even and the change first when i is odd.  Every
+run is appended to `BENCH_<short parent commit>.json` at the repo root as
+soon as it ends, with its workload, seed, trace flag, pair, position in the
+pair, the line count of the side's `src/stmfem/*.py` and the last two
+stdout lines of run.py verbatim (the `{"info": ...}` line and the result
+line), so repeated calls, for other seeds or workloads, add to one file.
+A run that exceeds the time limit is kept as a failed run with exit code
+null and no lines.  The summary (medians, the parent's
 interquartile range, and in how many pairs the change is lower) is
-computed from that file alone.
+computed from that file alone, with each side's source line count next to
+the medians.
 """
 
 import argparse
 import datetime
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -35,6 +39,20 @@ RUN_TIMEOUT_S = 600
 def git(repo, *args):
     return subprocess.run(["git", "-C", str(repo), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def export(repo, commit, dest):
+    """The files of `commit` in `dest`, without git metadata."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", commit],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def source_lines(checkout):
+    """Lines of the benchmarked source, `src/stmfem/*.py`, in a checkout."""
+    return sum(len(path.read_text().splitlines())
+               for path in Path(checkout).glob("src/stmfem/*.py"))
 
 
 def pair_order(pair):
@@ -68,6 +86,7 @@ def run_pairs(checkouts, command, workloads, pairs, seed, seconds, trace):
                       file=sys.stderr, flush=True)
                 yield dict(workload=workload, seed=seed, trace=trace,
                            pair=pair, position=position, side=side,
+                           source_lines=source_lines(checkouts[side]),
                            exit_code=code, lines=lines)
 
 
@@ -87,16 +106,11 @@ def bench(repo, command, workloads, pairs, seed, seconds, trace,
         command=command, runs=[])
     record["sessions"].append(session)
     with tempfile.TemporaryDirectory(dir=tmp_root) as tmp:
-        worktree = Path(tmp) / "parent"
-        git(repo, "worktree", "add", "--detach", str(worktree), head)
-        try:
-            for run in run_pairs({"parent": worktree, "change": repo},
-                                 command, workloads, pairs, seed, seconds,
-                                 trace):
-                session["runs"].append(run)
-                path.write_text(json.dumps(record, indent=1) + "\n")
-        finally:
-            git(repo, "worktree", "remove", "--force", str(worktree))
+        export(repo, head, tmp)
+        for run in run_pairs({"parent": Path(tmp), "change": repo},
+                             command, workloads, pairs, seed, seconds, trace):
+            session["runs"].append(run)
+            path.write_text(json.dumps(record, indent=1) + "\n")
     return path
 
 
@@ -148,6 +162,9 @@ def summarize(record):
         lines.append(f"{workload} seed {seed} trace {trace} source {source}: "
                      f"{len(complete)} pairs, {correct} of {2 * len(complete)}"
                      " runs correct")
+        sizes = [", ".join(sorted({str(p[side].get("source_lines", "unknown"))
+                                   for p in complete})) for side in SIDES]
+        lines.append(f"  src/stmfem lines: {sizes[0]} -> {sizes[1]}")
         names = sorted(set().union(*(v["parent"] for v in values))) if values else []
         for name in names:
             par = [v["parent"].get(name) for v in values]
