@@ -27,10 +27,11 @@ class UnsupportedConfigurationError(Exception):
 
 
 class SolverFailureError(Exception):
-    """A solve failed at `interval`, in `stage` rhs/direct/schur.
+    """A solve failed at `interval`, in `stage` initial/rhs/direct/schur.
 
-    "rhs" means the right-hand side held a NaN or infinity, so nothing was
-    solved; the other stages missed their tolerance after one refinement.
+    "initial" means the projected initial datum and "rhs" the right-hand
+    side held a NaN or infinity, so nothing was solved; the other stages
+    missed their tolerance after one refinement.
     `residual` is the normwise backward error against the interval's block
     matrix.
     """

@@ -23,7 +23,7 @@ MAX_DEGREE = 5
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Strictly increasing time nodes 0 = t_0 < t_1 < ... < t_N = T."""
+    """Strictly increasing finite time nodes 0 = t_0 < t_1 < ... < t_N = T."""
 
     nodes: np.ndarray
 
@@ -31,6 +31,8 @@ class TimePartition:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need at least two time nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("time nodes must be finite")
         if abs(nodes[0]) > 0.0:
             raise ValueError("partition must start at t = 0")
         if np.any(np.diff(nodes) <= 0.0):
@@ -39,8 +41,9 @@ class TimePartition:
 
     @classmethod
     def uniform(cls, final_time, n_intervals):
-        if final_time <= 0.0 or n_intervals < 1:
-            raise ValueError("final time and interval count must be positive")
+        if not 0.0 < final_time < np.inf or n_intervals < 1:
+            raise ValueError("final time must be positive and finite, and "
+                             "the interval count positive")
         return cls(np.linspace(0.0, final_time, n_intervals + 1))
 
     @property

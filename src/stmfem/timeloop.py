@@ -10,14 +10,17 @@ scalar and flux expansions through the block system
 where U^0 carries the continuity-in-time constraint from the previous
 interval (projection of the initial data on the first one).  The left
 endpoint flux coefficient Q^0 never enters the equations; it is carried
-along purely so the flux can be reconstructed anywhere in time.
+along purely so the flux can be reconstructed anywhere in time.  The matrix,
+`IntervalOperator.matrix`, is [[alpha[:, 1:] (x) M_W, diag(tau beta) (x) B],
+[I_r (x) -B^T, I_r (x) M_D]].
 
-Both solvers solve this block matrix (`IntervalOperator.matrix`) under one
-policy: solve, check the normwise backward error against it, and refine
-once where that misses.  Both solve by `IntervalOperator.solve`, which
-decouples the r Gauss-point blocks exactly and statically condenses each
-shifted block onto its edge flux moments; `schur` then takes one
-unpreconditioned GMRES(1) correction step started from that solution.
+Both solvers solve it under one policy: solve, check the normwise backward
+error against it, and refine once where that misses.  Both solve by
+`IntervalOperator.solve`.  With diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1,
+the unknowns V^-1 (U, Q) split into the shifted systems [lam_k M_W, tau B;
+-B^T, M_D], one real system per real lam_k and one complex system per
+conjugate pair, each statically condensed onto its edge flux moments;
+`schur` then takes one unpreconditioned GMRES(1) step from that solution.
 """
 
 from dataclasses import dataclass
@@ -59,17 +62,12 @@ class SystemMatrices:
     """
 
     def __init__(self, scalar_space, flux_space, coefficient):
-        self.scalar_space = scalar_space
-        self.flux_space = flux_space
+        self.scalar_space, self.flux_space = scalar_space, flux_space
         self.mass_scalar = assembly.assemble_mass_scalar(scalar_space)
         self.mass_flux = assembly.assemble_weighted_mass_flux(
             flux_space, coefficient)
         self.div = assembly.assemble_div_coupling(flux_space, scalar_space)
         self._operator = None
-
-    @property
-    def n_flux(self):
-        return self.flux_space.n_dofs
 
     def operator(self, basis, tau):
         """The interval operator for (r, tau), rebuilt only when the step changes.
@@ -96,63 +94,44 @@ class IntervalOperator:
         self.mass_scalar, self.mass_flux = matrices.mass_scalar, matrices.mass_flux
         self.div = matrices.div
         self.basis, self.tau = basis, tau
-        r, alpha, beta = basis.r, basis.alpha, basis.beta
-        blocks = [[None] * (2 * r) for _ in range(2 * r)]
-        for i in range(r):
-            for j in range(r):
-                a = alpha[i, j + 1]
-                if a != 0.0:
-                    blocks[i][j] = a * self.mass_scalar
-            blocks[i][r + i] = (tau * beta[i]) * self.div
-            blocks[r + i][i] = -self.div.T
-            blocks[r + i][r + i] = self.mass_flux
-        self.matrix = sp.bmat(blocks, format="csr")
+        eye = sp.identity(basis.r)
+        self.matrix = sp.bmat(
+            [[sp.kron(basis.alpha[:, 1:], self.mass_scalar),
+              sp.kron(sp.diags(tau * basis.beta), self.div)],
+             [sp.kron(eye, -self.div.T), sp.kron(eye, self.mass_flux)]],
+            format="csr")
         self.norm = spla.norm(self.matrix)
 
     @cached_property
-    def solve(self):
-        """Exact inverse of `matrix`, as a function of the right-hand side.
+    def _shifts(self):
+        """Per kept lam (each real one, and Im lam > 0 of each pair): its
+        CondensedLU, whether it is a pair, its row of V^-1 (also divided by
+        beta, for the scalar loads) and its column of V, doubled for a pair."""
+        basis = self.basis
+        lam, vecs = np.linalg.eig(basis.alpha[:, 1:] / basis.beta[:, None])
+        kept = np.flatnonzero(lam.imag >= 0)
+        pair = lam[kept].imag > 0
+        factors = [CondensedLU(s if c else s.real, self.tau, self)
+                   for s, c in zip(lam[kept], pair)]
+        project = np.linalg.inv(vecs)[kept]
+        return (factors, pair, project / basis.beta, project,
+                vecs[:, kept] * np.where(pair, 2.0, 1.0))
 
-        Divided by beta, the scalar rows read sum_j A[i,j] M_W U^j + tau B Q^i
-        with A = diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1.  In
-        (W, P) = V^-1 (U, Q) the r coupled blocks split into the shifted
-        saddle systems [lam_k M_W, tau B; -B^T, M_D], each solved by
-        CondensedLU.  A conjugate pair has conjugate solutions, so one member
-        is factored and its real and imaginary parts fill two rows of (W, P);
-        a real lam_k fills one row, and its factor and solves stay real.  In
-        that real form V^-1 and V are the real r x r matrices `project` and
-        `combine`, applied once to all scalar and once to all flux loads.
-        """
+    def solve(self, b):
+        """The x with `matrix` x = b: a pair's solutions are conjugate, so x is
+        the real part of V's kept columns applied to the kept solutions."""
+        factors, pair, project_scalar, project, combine = self._shifts
         r, nw = self.basis.r, self.scalar_space.n_dofs
-        lam, vecs = np.linalg.eig(self.basis.alpha[:, 1:] / self.basis.beta[:, None])
-        inverse = np.linalg.inv(vecs)
-        factors, project, combine = [], [], []
-        for k in np.flatnonzero(lam.imag >= 0):
-            pair = lam[k].imag > 0
-            rows = slice(len(project), len(project) + 1 + pair)
-            factors.append((CondensedLU(lam[k] if pair else lam[k].real,
-                                        self.tau, self), rows))
-            project += [inverse[k].real, inverse[k].imag][: 1 + pair]
-            combine += ([2.0 * vecs[:, k].real, -2.0 * vecs[:, k].imag] if pair
-                        else [vecs[:, k].real])
-        project, combine = np.array(project), np.array(combine).T
-        project_scalar = project / self.basis.beta
-
-        def apply(b):
-            # the projected loads, then the solution in the same rows
-            scalar = np.dot(project_scalar, b[: r * nw].reshape(r, nw))
-            flux = np.dot(project, b[r * nw:].reshape(r, -1))
-            for lu, rows in factors:
-                load = np.concatenate([scalar[rows], flux[rows]], axis=1)
-                x = lu.solve(load[0] if len(load) == 1 else load[0] + 1j * load[1])
-                x = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x
-                scalar[rows], flux[rows] = x[..., :nw], x[..., nw:]
-            x = np.empty_like(b)
-            np.dot(combine, scalar, out=x[: r * nw].reshape(r, nw))
-            np.dot(combine, flux, out=x[r * nw:].reshape(r, -1))
-            return x
-
-        return apply
+        loads = np.hstack([project_scalar @ b[: r * nw].reshape(r, nw),
+                           project @ b[r * nw:].reshape(r, -1)])
+        shifted = np.empty_like(loads)
+        for k, lu in enumerate(factors):
+            shifted[k] = lu.solve(loads[k] if pair[k] else loads[k].real)
+        mixed = combine @ shifted
+        x = np.empty_like(b)
+        x[: r * nw].reshape(r, nw)[:] = mixed[:, :nw].real
+        x[r * nw:].reshape(r, -1)[:] = mixed[:, nw:].real
+        return x
 
 
 class CondensedLU:
@@ -227,9 +206,12 @@ class StepSystem:
 
 
 def initial_coefficients(data, scalar_space, flux_space):
-    """Project the initial datum: (P_h u0, vec P_h(-D grad u0))."""
-    return (l2_project_scalar(data.initial_scalar, scalar_space),
-            l2_project_flux(data.initial_flux, flux_space))
+    """(P_h u0, vec P_h(-D grad u0)), raising at stage "initial" if not finite."""
+    u0 = l2_project_scalar(data.initial_scalar, scalar_space)
+    q0 = l2_project_flux(data.initial_flux, flux_space)
+    if not (np.isfinite(u0).all() and np.isfinite(q0).all()):
+        raise SolverFailureError("non-finite initial datum", interval=0, stage="initial")
+    return u0, q0
 
 
 def build_step_system(interval, basis, matrices, data, u_start, partition):
@@ -240,7 +222,8 @@ def build_step_system(interval, basis, matrices, data, u_start, partition):
                                    gauss_times)  # (nw, r)
     mwu = matrices.mass_scalar @ u_start
     rhs_u = (tau * basis.beta * loads).T - basis.alpha[:, :1] * mwu
-    rhs = np.concatenate([rhs_u.ravel(), np.zeros(basis.r * matrices.n_flux)])
+    rhs = np.concatenate([rhs_u.ravel(),
+                          np.zeros(basis.r * matrices.flux_space.n_dofs)])
     return StepSystem(interval=interval, rhs=rhs,
                       operator=matrices.operator(basis, tau))
 
@@ -259,8 +242,7 @@ def _check_residual(system, x, stage):
         raise SolverFailureError(
             f"{stage} solve on interval {system.interval} "
             f"missed tolerance {DEFAULT_TOL}",
-            residual=rel, interval=system.interval, stage=stage,
-        )
+            residual=rel, interval=system.interval, stage=stage)
 
 
 def _solve(system, inverse, stage):
@@ -315,10 +297,8 @@ class SpaceTimeSolution:
     """Per-interval coefficient stacks of the scalar and flux expansions."""
 
     def __init__(self, partition, basis, scalar_space, flux_space):
-        self.partition = partition
-        self.basis = basis
-        self.scalar_space = scalar_space
-        self.flux_space = flux_space
+        self.partition, self.basis = partition, basis
+        self.scalar_space, self.flux_space = scalar_space, flux_space
         self.scalar_coeffs = []  # one (r+1, n_scalar) array per interval
         self.flux_coeffs = []    # one (r+1, n_flux) array per interval
 

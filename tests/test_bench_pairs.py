@@ -121,3 +121,50 @@ def test_summary_counts_failed_runs_and_keeps_sources_apart():
             in summary)
     # runs recorded before line counts were kept
     assert "  src/stmfem lines: unknown -> unknown\n" in summary
+
+
+def test_summary_labels_each_end_to_end_metric_against_its_bound(tmp_path):
+    # four pairs; the parent of "noisy" and "beaten" spreads with IQR 1 about
+    # a median of 1.5, wider than the bound 0.25 allows
+    parent = {"slow": [1.0] * 4, "steady": [1.0] * 4,
+              "noisy": [1.0, 2.0, 1.0, 2.0], "beaten": [1.0, 2.0, 1.0, 2.0],
+              "rate": [10.0] * 4}
+    change = {"slow": [1.5] * 4, "steady": [1.1] * 4, "noisy": [1.4] * 4,
+              "beaten": [0.5] * 4, "rate": [7.0] * 4}
+    info = json.dumps({"info": {"source_sha256": "s1"}})
+
+    def lines(values, pair):
+        metrics = {name: {"value": v[pair]} for name, v in values.items()}
+        return [info, json.dumps({"correct": True, "metrics": metrics})]
+
+    runs = [dict(workload="a", seed=1, trace=0, pair=pair, side=side,
+                 lines=lines(values, pair))
+            for pair in range(4)
+            for side, values in (("parent", parent), ("change", change))]
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": [
+        {"name": name, "unit": "s", "better": better, "bound": bound}
+        for name, better, bound in (("slow", "lower", 0.25),
+                                    ("steady", "lower", 0.25),
+                                    ("noisy", "lower", 0.25),
+                                    ("beaten", "lower", 0.25),
+                                    ("rate", "higher", 0.2))]}))
+    bounds = bench_pairs.end_to_end_bounds(benchmark)
+    assert bounds["rate"] == (0.2, "higher")
+    summary = bench_pairs.summarize({"sessions": [{"runs": runs}]}, bounds)
+    labels = {line.split(":")[0].strip(): line.rsplit(", ", 1)[-1]
+              for line in summary.splitlines()[2:]}
+    assert labels == {"slow": "beyond bound 0.25",
+                      "steady": "within bound 0.25",
+                      "noisy": "unresolved 0.25",
+                      "beaten": "within bound 0.25",
+                      "rate": "beyond bound 0.2"}
+    # without bounds the lines carry no label
+    assert "bound" not in bench_pairs.summarize({"sessions": [{"runs": runs}]})
+
+
+def test_the_repo_benchmark_bounds_are_read():
+    bounds = bench_pairs.end_to_end_bounds(TOOL.parents[1] / "BENCHMARK.json")
+    assert "sweep_s" in bounds
+    for bound, better in bounds.values():
+        assert bound > 0 and better in ("lower", "higher")

@@ -3,6 +3,9 @@ import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
+from stmfem import timeloop
+from stmfem.assembly import CoefficientField
+from stmfem.mesh import unit_square_mesh
 from stmfem.timebasis import TimePartition, build_basis
 from stmfem.timeloop import SpaceTimeSolution
 
@@ -185,3 +188,28 @@ class TestTimePartition:
             TimePartition(np.array([0.1, 0.5]))
         with pytest.raises(ValueError):
             TimePartition.uniform(-1.0, 3)
+
+    @pytest.mark.parametrize("nodes", [[0.0, np.nan], [0.0, np.inf],
+                                       [0.0, 1.0, np.inf], [np.nan, 1.0]])
+    def test_non_finite_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="finite"):
+            TimePartition(np.array(nodes))
+
+    @pytest.mark.parametrize("final_time", [np.inf, np.nan])
+    def test_uniform_rejects_non_finite_final_time(self, final_time):
+        # checked before linspace, which warns on an infinite stop
+        with pytest.raises(ValueError, match="finite"):
+            TimePartition.uniform(final_time, 4)
+
+    def test_run_rejects_infinite_final_time_before_assembly(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("spaces built for an infinite final time")
+
+        monkeypatch.setattr(timeloop, "build_pair", unreachable)
+        data = timeloop.ProblemData(
+            diffusion=CoefficientField.identity(),
+            initial_scalar=lambda x: np.zeros(len(x)),
+            source=lambda x, t: np.zeros((len(t), len(x))),
+            final_time=np.inf, initial_flux=lambda x: np.zeros((len(x), 2)))
+        with pytest.raises(ValueError, match="finite"):
+            timeloop.run(data, unit_square_mesh(1), p=1, r=1, n_steps=4)

@@ -129,6 +129,24 @@ class TestInitialCoefficients:
         oracle = l2_project_flux(minus_grad, flux)
         assert np.max(np.abs(q0 - oracle)) < 1e-11
 
+    @pytest.mark.parametrize("which", ["initial_scalar", "initial_flux"])
+    def test_non_finite_datum_fails_before_the_first_step(self, zero_data,
+                                                          monkeypatch, which):
+        # the flux datum never enters the equations, so without this check a
+        # NaN in it would pass every step and surface only as a NaN error
+        def nan_datum(x):
+            shape = (len(x),) if which == "initial_scalar" else (len(x), 2)
+            return np.full(shape, np.nan)
+
+        steps = []
+        monkeypatch.setattr(timeloop, "build_step_system",
+                            lambda *args: steps.append(1))
+        data = dataclasses.replace(zero_data, **{which: nan_datum})
+        with pytest.raises(SolverFailureError) as err:
+            run(data, unit_square_mesh(1), p=1, r=2, n_steps=2)
+        assert (err.value.interval, err.value.stage) == (0, "initial")
+        assert steps == []
+
 
 class TestStepSystem:
     def setup_method(self):
@@ -442,6 +460,7 @@ class TestCondensedSolve:
         got = np.concatenate([U.ravel(), Q.ravel()])
         A = _dense_block(system.operator, system.operator.basis,
                          system.operator.tau)
+        np.testing.assert_array_equal(system.operator.matrix.toarray(), A)
         dense = np.linalg.solve(A, b)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
         # one exact solve, without the refinement solve_step may add, and

@@ -17,7 +17,12 @@ A run that exceeds the time limit is kept as a failed run with exit code
 null and no lines.  The summary (medians, the parent's
 interquartile range, and in how many pairs the change is lower) is
 computed from that file alone, with each side's source line count next to
-the medians.
+the medians.  Each end-to-end metric of `BENCHMARK.json` (read, never
+written) is labelled against its bound: "beyond bound" where the change's
+median is worse than the parent's by more than the bound, relative;
+"unresolved" where the parent's interquartile range exceeds the bound times
+its median and not every change run beats every parent run; "within bound"
+otherwise.
 """
 
 import argparse
@@ -136,11 +141,39 @@ def source_digest(run):
         return "unknown"
 
 
-def summarize(record):
+def end_to_end_bounds(path):
+    """metric name -> (bound, "lower" or "higher") of the `end_to_end`
+    metrics of a BENCHMARK.json."""
+    return {m["name"]: (m["bound"], m["better"])
+            for m in json.loads(Path(path).read_text())["end_to_end"]}
+
+
+def iqr(values):
+    """The interquartile range of a metric's runs (0 for a single run)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def bound_label(parent, change, bound, better):
+    """The change against one metric's bound, from each side's runs."""
+    sign = 1.0 if better == "lower" else -1.0
+    mp = statistics.median(parent)
+    if sign * (statistics.median(change) - mp) > bound * abs(mp):
+        return "beyond bound"
+    beats = all(sign * (c - p) < 0 for c in change for p in parent)
+    if iqr(parent) > bound * abs(mp) and not beats:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(record, bounds=None):
     """One line per (workload, seed, trace, change source, metric): medians
-    of both sides, the parent's interquartile range, and the pairs the
-    change wins.  Pairs whose change runs measured different sources (a
-    change revised between sessions) are never pooled."""
+    of both sides, the parent's interquartile range, the pairs the change
+    wins, and for a metric in `bounds` (see `end_to_end_bounds`) its label.
+    Pairs whose change runs measured different sources (a change revised
+    between sessions) are never pooled."""
     pairs = {}
     for session in record["sessions"]:
         for run in session["runs"]:
@@ -172,12 +205,14 @@ def summarize(record):
             if None in par or None in chg:
                 continue
             mp, mc = statistics.median(par), statistics.median(chg)
-            q1, _, q3 = (statistics.quantiles(par, n=4) if len(par) > 1
-                         else (par[0],) * 3)
             wins = sum(c < p for p, c in zip(par, chg))
             change = f"{mc / mp - 1:+.1%}" if mp else "n/a"
-            lines.append(f"  {name}: {mp:.6g} -> {mc:.6g} ({change}), parent "
-                         f"IQR {q3 - q1:.3g}, change lower in {wins}/{len(par)}")
+            line = (f"  {name}: {mp:.6g} -> {mc:.6g} ({change}), parent "
+                    f"IQR {iqr(par):.3g}, change lower in {wins}/{len(par)}")
+            if name in (bounds or {}):
+                bound, better = bounds[name]
+                line += f", {bound_label(par, chg, bound, better)} {bound:g}"
+            lines.append(line)
     return "\n".join(lines)
 
 
@@ -192,14 +227,15 @@ def main(argv=None):
     parser.add_argument("--summary", metavar="FILE",
                         help="print the summary of a BENCH_*.json and exit")
     args = parser.parse_args(argv)
+    bounds = end_to_end_bounds(ROOT / "BENCHMARK.json")
     if args.summary:
-        print(summarize(json.loads(Path(args.summary).read_text())))
+        print(summarize(json.loads(Path(args.summary).read_text()), bounds))
         return 0
     if not args.workload:
         parser.error("give at least one --workload")
     path = bench(ROOT, [sys.executable, "perfbench/run.py"],
                  args.workload, args.pairs, args.seed, args.seconds, args.trace)
-    print(summarize(json.loads(path.read_text())))
+    print(summarize(json.loads(path.read_text()), bounds))
     return 0
 
 
