@@ -15,6 +15,7 @@ from dataclasses import fields
 
 from . import harness
 from .mesh import write_text
+from .timeloop import SOLVERS
 
 
 def _parse_levels(text):
@@ -51,7 +52,7 @@ def build_parser():
     parser.add_argument("--distortion", type=float,
                         help="interior-vertex distortion factor (default 0)")
     parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--solver", choices=["direct", "schur"])
+    parser.add_argument("--solver", choices=SOLVERS)
     parser.add_argument("--omega", type=float,
                         help="angular frequency of the manufactured solution")
     parser.add_argument("--final-time", type=float, dest="final_time")

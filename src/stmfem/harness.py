@@ -19,7 +19,7 @@ from .assembly import CoefficientField
 from .mms import DEFAULT_OMEGA, ErrorReport, error_q_V, error_u, mms_standard
 # build_pair is not called here; perfbench/tracer.py wraps this binding
 from .spaces import build_pair  # noqa: F401
-from .timeloop import ProblemData, run
+from .timeloop import SOLVERS, ProblemData, run
 
 
 @dataclass
@@ -59,7 +59,7 @@ class ExperimentConfig:
                              f"got {self.final_time!r}")
         if not math.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega!r}")
-        if self.solver not in ("direct", "schur"):
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if not 0.0 <= self.distortion < 0.5:
             raise ValueError("distortion factor must be in [0, 0.5)")

@@ -128,7 +128,9 @@ def _space_time_error(solution, space, stacks, exact_fields, time_order,
     squared and reduced with the point weights in one product.
     """
     ev = evaluation(space, space_order)
-    trule = gauss_legendre_unit(time_order or (solution.basis.r + 3))
+    if time_order is None:
+        time_order = solution.basis.r + 3
+    trule = gauss_legendre_unit(time_order)
     basis_vals = solution.basis.eval_trial_all(trule.points)  # (nt, r+1)
     part = solution.partition
     nt, npts = len(trule.points), len(ev.weights)
@@ -155,14 +157,14 @@ def _space_time_error(solution, space, stacks, exact_fields, time_order,
 def error_u(solution, exact, time_order=None, space_order=None):
     """|| u_exact - u_h || in L2(I; L2(Omega))."""
     return _space_time_error(solution, solution.scalar_space,
-                             solution.scalar_coeffs, (exact.scalar,),
+                             solution.scalar_stacks(), (exact.scalar,),
                              time_order, space_order)
 
 
 def error_q_V(solution, exact, time_order=None, space_order=None):
     """|| q_exact - q_h || in L2(I; V), V-norm = (L2^2 + ||div||^2)^(1/2)."""
     return _space_time_error(solution, solution.flux_space,
-                             solution.flux_coeffs,
+                             solution.flux_stacks(),
                              (exact.flux, exact.div_flux),
                              time_order, space_order)
 

@@ -9,8 +9,10 @@ scalar and flux expansions through the block system
 
 where U^0 carries the continuity-in-time constraint from the previous
 interval (projection of the initial data on the first one).  The left
-endpoint flux coefficient Q^0 never enters the equations; it is carried
-along purely so the flux can be reconstructed anywhere in time.  The matrix,
+endpoint flux coefficient Q^0 never enters the equations.  Both start
+values are the previous interval's endpoint values, so `SpaceTimeSolution`
+stores them once, for the first interval, and rebuilds each interval's
+(r+1)-row stack from the r Gauss-point rows it keeps.  The matrix,
 `IntervalOperator.matrix`, is [[alpha[:, 1:] (x) M_W, diag(tau beta) (x) B],
 [I_r (x) -B^T, I_r (x) M_D]].
 
@@ -37,6 +39,7 @@ from .spaces import build_pair
 from .timebasis import TimePartition, build_basis
 
 DEFAULT_TOL = 1e-12
+SOLVERS = ("direct", "schur")
 
 
 @dataclass(frozen=True)
@@ -259,6 +262,11 @@ def _solve(system, inverse, stage):
     return x
 
 
+def _check_solver(strategy):
+    if strategy not in SOLVERS:
+        raise ValueError(f"unknown solver strategy {strategy!r}")
+
+
 def solve_step(system, strategy="direct"):
     """Solve one interval's block system.
 
@@ -266,6 +274,7 @@ def solve_step(system, strategy="direct"):
     the Gauss-point coefficients i = 1..r.  A non-finite right-hand side is
     rejected before anything is factored or iterated.
     """
+    _check_solver(strategy)
     if not np.all(np.isfinite(system.rhs)):
         raise SolverFailureError(
             f"non-finite right-hand side on interval {system.interval}",
@@ -273,7 +282,7 @@ def solve_step(system, strategy="direct"):
     op = system.operator
     if strategy == "direct":
         inverse = op.solve
-    elif strategy == "schur":
+    else:
         def inverse(b):
             # one GMRES iteration from the exact solve, info unread
             # (_check_residual is the gate); atol = tiny returns a start with
@@ -281,8 +290,6 @@ def solve_step(system, strategy="direct"):
             return spla.gmres(op.matrix, b, x0=op.solve(b),
                               rtol=0.0, atol=np.finfo(float).tiny, restart=1,
                               maxiter=1)[0]
-    else:
-        raise ValueError(f"unknown solver strategy {strategy!r}")
     x = _solve(system, inverse, strategy)
     r, nw = op.basis.r, op.scalar_space.n_dofs
     return x[: r * nw].reshape(r, nw), x[r * nw:].reshape(r, -1)
@@ -293,40 +300,70 @@ def endpoint_value(basis, coeffs):
     return np.einsum("j,jn->n", basis.endpoint_weights, coeffs)
 
 
-class SpaceTimeSolution:
-    """Per-interval coefficient stacks of the scalar and flux expansions."""
+def _stack_and_next_start(basis, start, rows):
+    """An interval's (r+1, n) stack from its start row and r Gauss-point rows,
+    and the next interval's start row: this stack's endpoint value."""
+    stack = np.vstack([start[None, :], rows])
+    return stack, endpoint_value(basis, stack)
 
-    def __init__(self, partition, basis, scalar_space, flux_space):
+
+class SpaceTimeSolution:
+    """The scalar and flux expansions, stored as the start values (U^0, Q^0)
+    of the first interval and the r Gauss-point rows of every interval.
+
+    The solution is continuous in time, so every later interval starts at
+    its predecessor's endpoint value.  `scalar_stacks` and `flux_stacks`
+    yield the (r+1, n) coefficient stacks in interval order, each start row
+    the `endpoint_value` of the stack before it.  Reaching interval n
+    therefore rebuilds the n stacks before it; to read many intervals,
+    iterate the generators once.  (The per-interval lists `scalar_coeffs`,
+    `flux_coeffs` and the `n_intervals` attribute of earlier versions are
+    gone, and the constructor takes the start values u0, q0.)
+    """
+
+    def __init__(self, partition, basis, scalar_space, flux_space, u0, q0):
         self.partition, self.basis = partition, basis
         self.scalar_space, self.flux_space = scalar_space, flux_space
-        self.scalar_coeffs = []  # one (r+1, n_scalar) array per interval
-        self.flux_coeffs = []    # one (r+1, n_flux) array per interval
+        self.start = (u0, q0)
+        self.gauss_rows = []  # one (U, Q) pair per interval, (r, n) each
 
-    @property
-    def n_intervals(self):
-        return len(self.scalar_coeffs)
+    def append_interval(self, U, Q):
+        self.gauss_rows.append((U, Q))
 
-    def append_interval(self, u_stack, q_stack):
-        self.scalar_coeffs.append(u_stack)
-        self.flux_coeffs.append(q_stack)
+    def _stacks(self, field):
+        start = self.start[field]
+        for rows in self.gauss_rows:
+            stack, start = _stack_and_next_start(self.basis, start, rows[field])
+            yield stack
+
+    def scalar_stacks(self):
+        """The (r+1, n_scalar) stack of each interval, in order."""
+        return self._stacks(0)
+
+    def flux_stacks(self):
+        """The (r+1, n_flux) stack of each interval, in order."""
+        return self._stacks(1)
 
 
 def run(data, mesh, p, r, n_steps, solver="direct"):
-    """March the scheme over a uniform partition of (0, T] with N intervals."""
+    """March the scheme over a uniform partition of (0, T] with N intervals.
+
+    The solution keeps the (U, Q) views `solve_step` returns, one array of
+    r (n_scalar + n_flux) floats per interval.
+    """
+    _check_solver(solver)
     partition = TimePartition.uniform(data.final_time, n_steps)
     basis = build_basis(r)
     scalar_space, flux_space = build_pair(mesh, p)
     matrices = SystemMatrices(scalar_space, flux_space, data.diffusion)
-    solution = SpaceTimeSolution(partition, basis, scalar_space, flux_space)
     u0, q0 = initial_coefficients(data, scalar_space, flux_space)
+    solution = SpaceTimeSolution(partition, basis, scalar_space, flux_space,
+                                 u0, q0)
     for n in range(n_steps):
         system = build_step_system(n, basis, matrices, data, u0, partition)
         U, Q = solve_step(system, strategy=solver)
-        u_stack = np.vstack([u0[None, :], U])
-        q_stack = np.vstack([q0[None, :], Q])
-        solution.append_interval(u_stack, q_stack)
-        u0 = endpoint_value(basis, u_stack)
-        q0 = endpoint_value(basis, q_stack)
+        solution.append_interval(U, Q)
+        _, u0 = _stack_and_next_start(basis, u0, U)
     return solution
 
 
@@ -340,14 +377,15 @@ def local_mass_balance(solution, data, matrices):
     basis, part = solution.basis, solution.partition
     cell_dofs = matrices.scalar_space.cell_dofs
     worst = 0.0
-    for n in range(solution.n_intervals):
+    for n, (u_stack, (_, Q)) in enumerate(zip(solution.scalar_stacks(),
+                                             solution.gauss_rows)):
         tau = part.step_size(n)
         load = assembly.assemble_load(matrices.scalar_space, data.source,
                                       part.nodes[n] + tau * basis.test_nodes)
         # per-cell sums, one column per Gauss index i
-        mwu = (matrices.mass_scalar @ solution.scalar_coeffs[n].T)[cell_dofs]
+        mwu = (matrices.mass_scalar @ u_stack.T)[cell_dofs]
         acc = mwu.sum(axis=1) @ basis.alpha.T
-        bq = (matrices.div @ solution.flux_coeffs[n][1:].T)[cell_dofs].sum(axis=1)
+        bq = (matrices.div @ Q.T)[cell_dofs].sum(axis=1)
         tb = tau * basis.beta
         rhs = tb * load[cell_dofs].sum(axis=1)
         scale = np.maximum.reduce([np.abs(acc), tb * np.abs(bq), np.abs(rhs)])

@@ -8,6 +8,7 @@ coefficients at any time, and a reader for the harness's CSV table.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -100,15 +101,19 @@ def locate(partition, t):
 
 
 def coefficients_at(solution, t):
-    """Global coefficient vectors (scalar, flux) of a solution at time t."""
+    """Global coefficient vectors (scalar, flux) of a solution at time t.
+
+    Rebuilds the stacks of every interval up to t's, so one call costs
+    O(n) intervals; the tests call it at a few times per solution.
+    """
     n = locate(solution.partition, t)
     t0 = solution.partition.nodes[n]
     tau = solution.partition.step_size(n)
     that = np.clip((t - t0) / tau, 0.0, 1.0)
     w = solution.basis.eval_trial_all(np.array([that]))[0]
-    u = np.einsum("j,jn->n", w, solution.scalar_coeffs[n])
-    q = np.einsum("j,jn->n", w, solution.flux_coeffs[n])
-    return u, q
+    stacks = zip(solution.scalar_stacks(), solution.flux_stacks())
+    u_stack, q_stack = next(islice(stacks, n, None))
+    return (np.einsum("j,jn->n", w, u_stack), np.einsum("j,jn->n", w, q_stack))
 
 
 def parse_csv(text):

@@ -135,10 +135,11 @@ class TestErrorNorms:
         scalar, flux = build_pair(mesh, 1)
         basis = build_basis(1)
         sol = SpaceTimeSolution(TimePartition.uniform(1.0, 2), basis,
-                                scalar, flux)
+                                scalar, flux, np.ones(scalar.n_dofs),
+                                np.zeros(flux.n_dofs))
         for _ in range(2):
-            sol.append_interval(np.ones((2, scalar.n_dofs)),
-                                np.zeros((2, flux.n_dofs)))
+            sol.append_interval(np.ones((1, scalar.n_dofs)),
+                                np.zeros((1, flux.n_dofs)))
         zero = st.ManufacturedSolution(
             scalar=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)))),
             flux=lambda x, t: np.zeros((len(t), len(np.atleast_2d(x)), 2)),
@@ -243,6 +244,18 @@ class TestErrorNorms:
         eq2 = error_q_V(sol, standard, time_order=10, space_order=10)
         assert abs(eu - eu2) / eu < 1e-3
         assert abs(eq - eq2) / eq < 1e-3
+
+    @pytest.mark.parametrize("norm", [error_u, error_q_V])
+    def test_empty_rules_rejected(self, standard, norm):
+        # an order of 0 is no rule, not a request for the default one
+        data = ProblemData(diffusion=CoefficientField.identity(),
+                           initial_scalar=standard.initial_scalar(),
+                           source=standard.source, final_time=1.0,
+                           initial_flux=standard.initial_flux())
+        sol = run(data, st.unit_square_mesh(0), p=1, r=1, n_steps=2)
+        for orders in ({"time_order": 0}, {"space_order": 0}):
+            with pytest.raises(ValueError, match="rule size"):
+                norm(sol, standard, **orders)
 
 
 class TestEoc:

@@ -144,27 +144,29 @@ def test_invalid_degree_rejected(r):
 
 
 class TestCoefficientsAt:
-    def setup_method(self):
-        self.solution = SpaceTimeSolution(TimePartition.uniform(1.0, 4),
-                                          build_basis(2), None, None)
-
-    def append(self, values):
-        stack = np.array(values, dtype=float)[:, None]
-        self.solution.append_interval(stack, stack.copy())
+    @staticmethod
+    def solution(start, *gauss_rows):
+        """A one-unknown r = 2 solution whose intervals have these rows."""
+        sol = SpaceTimeSolution(TimePartition.uniform(1.0, 4), build_basis(2),
+                                None, None, np.array([start]),
+                                np.array([start]))
+        for values in gauss_rows:
+            rows = np.array(values, dtype=float)[:, None]
+            sol.append_interval(rows, rows.copy())
+        return sol
 
     def test_constant_coefficients(self):
-        for _ in range(2):
-            self.append([3.5, 3.5, 3.5])
+        sol = self.solution(3.5, [3.5, 3.5], [3.5, 3.5])
         for t in (0.251, 0.3, 0.5):
-            for coef in coefficients_at(self.solution, t):
+            for coef in coefficients_at(sol, t):
                 assert_allclose(coef, [3.5], rtol=1e-13)
 
     def test_right_endpoint_r2(self):
         # phi_1(1) = -sqrt(3), phi_2(1) = +sqrt(3) on nodes {0, gauss}
         a, b = 0.7, -0.2
-        self.append([0.0, a, b])
+        sol = self.solution(0.0, [a, b])
         expected = -np.sqrt(3) * a + np.sqrt(3) * b
-        for coef in coefficients_at(self.solution, 0.25):
+        for coef in coefficients_at(sol, 0.25):
             assert_allclose(coef, [expected], rtol=1e-13)
 
 

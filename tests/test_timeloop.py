@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -598,11 +599,69 @@ class TestAdvance:
                         [1.0, -np.sqrt(3.0), np.sqrt(3.0)], rtol=1e-14)
 
 
+def _hand_march(data, mesh, p, r, n_steps, solver):
+    """The (r+1)-row scalar and flux stacks of a march written out with
+    build_step_system, solve_step and endpoint_value."""
+    partition = TimePartition.uniform(data.final_time, n_steps)
+    basis = build_basis(r)
+    scalar, flux = build_pair(mesh, p)
+    matrices = SystemMatrices(scalar, flux, data.diffusion)
+    u0, q0 = initial_coefficients(data, scalar, flux)
+    u_stacks, q_stacks = [], []
+    for n in range(n_steps):
+        system = build_step_system(n, basis, matrices, data, u0, partition)
+        U, Q = solve_step(system, strategy=solver)
+        u_stacks.append(np.vstack([u0[None, :], U]))
+        q_stacks.append(np.vstack([q0[None, :], Q]))
+        u0 = endpoint_value(basis, u_stacks[-1])
+        q0 = endpoint_value(basis, q_stacks[-1])
+    return u_stacks, q_stacks
+
+
 class TestRun:
     def test_zero_data_zero_solution(self, zero_data):
         sol = run(zero_data, unit_square_mesh(1), p=1, r=2, n_steps=3)
-        for stack in sol.scalar_coeffs + sol.flux_coeffs:
+        for stack in [*sol.scalar_stacks(), *sol.flux_stacks()]:
             assert np.max(np.abs(stack)) < 1e-13
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("solver", ["direct", "schur"])
+    def test_stacks_match_hand_march(self, mms_problem, r, solver):
+        _, data = mms_problem
+        mesh = unit_square_mesh(1)
+        sol = run(data, mesh, p=1, r=r, n_steps=4, solver=solver)
+        hand_u, hand_q = _hand_march(data, mesh, 1, r, 4, solver)
+        got_u, got_q = list(sol.scalar_stacks()), list(sol.flux_stacks())
+        assert len(got_u) == len(got_q) == len(sol.gauss_rows) == 4
+        for got, hand in zip(got_u + got_q, hand_u + hand_q):
+            assert np.array_equal(got, hand)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_each_interval_stores_r_rows(self, mms_problem, r):
+        # the traced bytes deleting the solution of an N- and a 2N-step run
+        # frees: the spaces and their cached tables are alike in both and
+        # cancel, and what the run leaves elsewhere is not counted
+        _, data = mms_problem
+        mesh = unit_square_mesh(2)
+        n_steps = 32
+        held = []
+        tracemalloc.start()
+        try:
+            for steps in (n_steps, 2 * n_steps):
+                sol = run(data, mesh, p=2, r=r, n_steps=steps)
+                n = sol.scalar_space.n_dofs + sol.flux_space.n_dofs
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                del sol
+                gc.collect()
+                held.append(before - tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        rows = r * n * 8
+        per_interval = (held[1] - held[0]) / n_steps
+        # the r rows of one array, plus its array objects, views and list
+        # slot (about 470 bytes), not r + 1 rows of each field
+        assert rows <= per_interval < rows + 1024
 
     @pytest.mark.parametrize("n_steps", [2, 5])
     def test_polynomial_exactness(self, poly_problem, n_steps):
@@ -615,21 +674,34 @@ class TestRun:
         exact, data = mms_problem
         mesh = unit_square_mesh(1)
         sol = run(data, mesh, p=2, r=2, n_steps=5)
+        hand_u, hand_q = _hand_march(data, mesh, 2, 2, 5, "direct")
         xhat = rng.uniform(0.05, 0.95, (10, 2))
-        for n in range(1, sol.n_intervals):
-            t = sol.partition.nodes[n]
-            left_u = endpoint_value(sol.basis, sol.scalar_coeffs[n - 1])
-            right_u = sol.scalar_coeffs[n][0]
-            assert np.max(np.abs(left_u - right_u)) < 1e-13
-            left_q = endpoint_value(sol.basis, sol.flux_coeffs[n - 1])
-            right_q = sol.flux_coeffs[n][0]
-            assert np.max(np.abs(left_q - right_q)) < 1e-13
+        stacks = zip(sol.scalar_stacks(), sol.flux_stacks())
+        for n, (u_stack, q_stack) in enumerate(stacks):
+            if n == 0:
+                continue
+            # each start row is the hand march's previous endpoint value
+            right_u, right_q = u_stack[0], q_stack[0]
+            assert np.array_equal(right_u, endpoint_value(sol.basis, hand_u[n - 1]))
+            assert np.array_equal(right_q, endpoint_value(sol.basis, hand_q[n - 1]))
             # reconstruction through coefficients_at is continuous too
-            u_at, q_at = coefficients_at(sol, t)
+            u_at, q_at = coefficients_at(sol, sol.partition.nodes[n])
             for k in (0, 3):
                 vals = eval_scalar(sol.scalar_space, u_at, k, xhat)
                 ref = eval_scalar(sol.scalar_space, right_u, k, xhat)
                 assert np.max(np.abs(vals - ref)) < 1e-13
+
+    def test_unknown_solver_fails_before_set_up(self, zero_data, monkeypatch):
+        # a nonzero initial flux is projected with one splu; a solver run()
+        # cannot apply fails before that, or any space or matrix, is built
+        data = dataclasses.replace(
+            zero_data, initial_flux=lambda x: np.ones((len(np.atleast_2d(x)), 2)))
+        calls = _count_splu(monkeypatch)
+        with pytest.raises(ValueError, match="'gmres'"):
+            run(data, unit_square_mesh(1), p=1, r=2, n_steps=2, solver="gmres")
+        assert calls == []
+        run(data, unit_square_mesh(1), p=1, r=2, n_steps=1)
+        assert len(calls) == 2  # the flux projection and the one shift
 
     @pytest.mark.parametrize("solver", ["direct", "schur"])
     def test_non_finite_source_fails_at_its_interval(self, mms_problem,
@@ -665,8 +737,8 @@ class TestRun:
         _, data = mms_problem
         a, b = (run(data, distort(unit_square_mesh(1), distortion, seed),
                     p=p, r=r, n_steps=4, solver="direct") for _ in range(2))
-        for sa, sb in zip(a.scalar_coeffs + a.flux_coeffs,
-                          b.scalar_coeffs + b.flux_coeffs):
+        for sa, sb in zip([*a.scalar_stacks(), *a.flux_stacks()],
+                          [*b.scalar_stacks(), *b.flux_stacks()]):
             assert np.array_equal(sa, sb)
 
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -686,7 +758,8 @@ class TestRun:
         times = (nodes[:-1, None] + taus[:, None] * basis.test_nodes).ravel()
         loads = assemble_load(sol.scalar_space, data.source,
                               times).T.reshape(len(taus), r, -1)
-        for tau, U, Q, F in zip(taus, sol.scalar_coeffs, sol.flux_coeffs, loads):
+        for tau, U, Q, F in zip(taus, sol.scalar_stacks(), sol.flux_stacks(),
+                                loads):
             end = endpoint_value(basis, U)
             energy = [0.5 * end @ (m.mass_scalar @ end),
                       -0.5 * U[0] @ (m.mass_scalar @ U[0]),
@@ -712,7 +785,7 @@ class TestRun:
         matrices = SystemMatrices(scalar, flux, data.diffusion)
         sol = run(data, mesh, p=2, r=2, n_steps=4)
         for n in (0, 3):
-            for i in range(1, 3):
-                res = (matrices.mass_flux @ sol.flux_coeffs[n][i]
-                       - matrices.div.T @ sol.scalar_coeffs[n][i])
+            U, Q = sol.gauss_rows[n]
+            for i in range(2):
+                res = matrices.mass_flux @ Q[i] - matrices.div.T @ U[i]
                 assert np.max(np.abs(res)) < 1e-11
