@@ -33,7 +33,7 @@ class SolverFailureError(Exception):
     side held a NaN or infinity, so nothing was solved; the other stages
     missed their tolerance after one refinement.
     `residual` is the normwise backward error against the interval's block
-    matrix.
+    matrix, applied block by block (`IntervalOperator.apply`), not assembled.
     """
 
     def __init__(self, message, residual=None, interval=None, stage=None):

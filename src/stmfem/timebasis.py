@@ -11,6 +11,7 @@ each interval to algebra driven by two small tables:
 for i = 1..r (Gauss points) and j = 0..r (trial nodes).
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +42,11 @@ class TimePartition:
 
     @classmethod
     def uniform(cls, final_time, n_intervals):
-        if not 0.0 < final_time < np.inf or n_intervals < 1:
-            raise ValueError("final time must be positive and finite, and "
-                             "the interval count positive")
+        if not isinstance(n_intervals, numbers.Integral) or n_intervals < 1:
+            raise ValueError(f"the interval count must be an integer >= 1, "
+                             f"got {n_intervals!r}")
+        if not 0.0 < final_time < np.inf:
+            raise ValueError("final time must be positive and finite")
         return cls(np.linspace(0.0, final_time, n_intervals + 1))
 
     @property

@@ -12,17 +12,18 @@ interval (projection of the initial data on the first one).  The left
 endpoint flux coefficient Q^0 never enters the equations.  Both start
 values are the previous interval's endpoint values, so `SpaceTimeSolution`
 stores them once, for the first interval, and rebuilds each interval's
-(r+1)-row stack from the r Gauss-point rows it keeps.  The matrix,
-`IntervalOperator.matrix`, is [[alpha[:, 1:] (x) M_W, diag(tau beta) (x) B],
-[I_r (x) -B^T, I_r (x) M_D]].
+(r+1)-row stack from the r Gauss-point rows it keeps.  The matrix is
+A = [[alpha[:, 1:] (x) M_W, diag(tau beta) (x) B], [I_r (x) -B^T, I_r (x) M_D]];
+no step assembles it, `IntervalOperator.apply` multiplies by it block by block.
 
 Both solvers solve it under one policy: solve, check the normwise backward
-error against it, and refine once where that misses.  Both solve by
+error with `apply`, and refine once where that misses.  Both solve by
 `IntervalOperator.solve`.  With diag(beta)^-1 alpha[:, 1:] = V diag(lam) V^-1,
 the unknowns V^-1 (U, Q) split into the shifted systems [lam_k M_W, tau B;
 -B^T, M_D], one real system per real lam_k and one complex system per
 conjugate pair, each statically condensed onto its edge flux moments;
-`schur` then takes one unpreconditioned GMRES(1) step from that solution.
+`schur` then takes one unpreconditioned GMRES(1) step from that solution,
+with `apply` as its operator.
 """
 
 from dataclasses import dataclass
@@ -85,8 +86,8 @@ class SystemMatrices:
 
 
 class IntervalOperator:
-    """One interval's block matrix, its norm, and its exact inverse `solve`,
-    whose factors are built on first use.
+    """One interval's block matrix as its product `apply` and its norm, and
+    its exact inverse `solve`, whose factors are built on first use.
 
     It holds the spaces and matrices it reads, not the `SystemMatrices` that
     caches it: that would be a cycle keeping the factors alive after run().
@@ -96,14 +97,38 @@ class IntervalOperator:
         self.scalar_space, self.flux_space = matrices.scalar_space, matrices.flux_space
         self.mass_scalar, self.mass_flux = matrices.mass_scalar, matrices.mass_flux
         self.div = matrices.div
+        self.div_t = self.div.T.tocsr()
+        self.mass_diagonal = self.mass_scalar.diagonal()  # M_W is diagonal
         self.basis, self.tau = basis, tau
+        # ||A||_F^2 summed over the four Kronecker blocks
+        r, tb = basis.r, tau * basis.beta
+        self.norm = np.sqrt(
+            np.sum(basis.alpha[:, 1:]**2) * spla.norm(self.mass_scalar)**2
+            + (tb @ tb + r) * spla.norm(self.div)**2
+            + r * spla.norm(self.mass_flux)**2)
+
+    @cached_property
+    def matrix(self):
+        """The assembled block matrix A, built on first use; no step reads it."""
+        basis = self.basis
         eye = sp.identity(basis.r)
-        self.matrix = sp.bmat(
+        return sp.bmat(
             [[sp.kron(basis.alpha[:, 1:], self.mass_scalar),
-              sp.kron(sp.diags(tau * basis.beta), self.div)],
-             [sp.kron(eye, -self.div.T), sp.kron(eye, self.mass_flux)]],
+              sp.kron(sp.diags(self.tau * basis.beta), self.div)],
+             [sp.kron(eye, -self.div_t), sp.kron(eye, self.mass_flux)]],
             format="csr")
-        self.norm = spla.norm(self.matrix)
+
+    def apply(self, x):
+        """`matrix` @ x from M_W, B, B^T and M_D, one Gauss row at a time."""
+        r, nw = self.basis.r, self.scalar_space.n_dofs
+        U, Q = x[: r * nw].reshape(r, nw), x[r * nw:].reshape(r, -1)
+        y = np.empty_like(x)
+        y_u, y_q = y[: r * nw].reshape(r, nw), y[r * nw:].reshape(r, -1)
+        np.matmul(self.basis.alpha[:, 1:], U * self.mass_diagonal, out=y_u)
+        for i, tb in enumerate(self.tau * self.basis.beta):
+            y_u[i] += tb * (self.div @ Q[i])
+            np.subtract(self.mass_flux @ Q[i], self.div_t @ U[i], out=y_q[i])
+        return y
 
     @cached_property
     def _shifts(self):
@@ -235,10 +260,11 @@ def _check_residual(system, x, stage):
     """Check that x's normwise backward error is <= DEFAULT_TOL.
 
     The error is ||Ax - b|| / (||A|| ||x|| + ||b||) against the interval's
-    block matrix A.  DEFAULT_TOL is read at call time, so a test may patch it.
+    block matrix A, applied by `IntervalOperator.apply`.  DEFAULT_TOL is
+    read at call time, so a test may patch it.
     """
     op, b = system.operator, system.rhs
-    res = np.linalg.norm(op.matrix @ x - b)
+    res = np.linalg.norm(op.apply(x) - b)
     scale = op.norm * np.linalg.norm(x) + np.linalg.norm(b)
     rel = res / scale if scale > 0.0 else res
     if not rel <= DEFAULT_TOL:  # NaN fails too
@@ -257,7 +283,7 @@ def _solve(system, inverse, stage):
     try:
         _check_residual(system, x, stage)
     except SolverFailureError:
-        x += inverse(system.rhs - system.operator.matrix @ x)
+        x += inverse(system.rhs - system.operator.apply(x))
         _check_residual(system, x, stage)
     return x
 
@@ -287,7 +313,9 @@ def solve_step(system, strategy="direct"):
             # one GMRES iteration from the exact solve, info unread
             # (_check_residual is the gate); atol = tiny returns a start with
             # zero residual as it is, where atol = 0 divides by that norm
-            return spla.gmres(op.matrix, b, x0=op.solve(b),
+            coupled = spla.LinearOperator((len(b), len(b)), matvec=op.apply,
+                                          dtype=float)
+            return spla.gmres(coupled, b, x0=op.solve(b),
                               rtol=0.0, atol=np.finfo(float).tiny, restart=1,
                               maxiter=1)[0]
     x = _solve(system, inverse, strategy)

@@ -27,6 +27,12 @@ def test_two_lines_per_level():
          "--seed", "1"],
         capture_output=True, text=True, check=True, timeout=300).stdout
     lines = out.splitlines()
+    # the last line: the peak RSS after the sweep and its REPEATS repeats,
+    # a high-water mark, so never below the first sweep's last reading
+    words = lines.pop().split()
+    assert words[:3] == ["sweeps", str(1 + rss_phases.REPEATS), "maxrss"]
+    assert words[4] == "MB"
+    assert float(words[3]) >= float(lines[-1].split()[3]) > 0.0
     assert [line.split()[:2] for line in lines] == [
         [f"L{level}", phase] for level in range(5) for phase in ("run", "norms")]
     for line in lines:

@@ -197,6 +197,17 @@ class TestTimePartition:
         with pytest.raises(ValueError, match="finite"):
             TimePartition(np.array(nodes))
 
+    @pytest.mark.parametrize("n_intervals", [2.5, 2.0, 0, -1, "4"])
+    def test_uniform_rejects_a_non_integer_or_non_positive_count(self,
+                                                                 n_intervals):
+        with pytest.raises(ValueError, match="interval count"):
+            TimePartition.uniform(1.0, n_intervals)
+
+    def test_run_rejects_a_fractional_step_count(self, mms_problem):
+        _, data = mms_problem
+        with pytest.raises(ValueError, match="2.5"):
+            timeloop.run(data, unit_square_mesh(1), p=1, r=1, n_steps=2.5)
+
     @pytest.mark.parametrize("final_time", [np.inf, np.nan])
     def test_uniform_rejects_non_finite_final_time(self, final_time):
         # checked before linspace, which warns on an infinite stop

@@ -541,14 +541,63 @@ class TestCondensedSolve:
         matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
         op = matrices.operator(build_basis(2), 0.1)
         x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
-        system = timeloop.StepSystem(interval=0, rhs=op.matrix @ x, operator=op)
+        # b from the product GMRES multiplies by, so its residual is zero
+        system = timeloop.StepSystem(interval=0, rhs=op.apply(x), operator=op)
         monkeypatch.setattr(op, "solve", lambda b: x.copy())
         U, Q = solve_step(system, strategy="schur")
         np.testing.assert_array_equal(np.concatenate([U.ravel(), Q.ravel()]),
                                       x)
 
 
+def _operator(p, r, distortion, tau=0.05):
+    mesh = distort(unit_square_mesh(2), distortion, 1)
+    scalar, flux = build_pair(mesh, p)
+    matrices = SystemMatrices(scalar, flux, CoefficientField.identity())
+    return matrices.operator(build_basis(r), tau)
+
+
+_operator_cases = pytest.mark.parametrize(
+    "p, r, distortion", [(p, r, d) for p in range(4) for r in range(1, 6)
+                         for d in (0.0, 0.3)])
+
+
 class TestIntervalOperator:
+    @_operator_cases
+    def test_apply_is_the_matrix_product(self, p, r, distortion):
+        op = _operator(p, r, distortion)
+        x = np.random.default_rng(p + 10 * r).standard_normal(op.matrix.shape[1])
+        want = op.matrix @ x
+        assert np.linalg.norm(op.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @_operator_cases
+    def test_norm_is_the_matrix_norm(self, p, r, distortion):
+        op = _operator(p, r, distortion)
+        assert "matrix" not in vars(op)  # the norm is read from the blocks
+        want = scipy.sparse.linalg.norm(op.matrix)
+        assert abs(op.norm - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("solver", timeloop.SOLVERS)
+    def test_run_never_assembles_the_matrix(self, mms_problem, monkeypatch,
+                                            solver):
+        def unreachable(op):
+            raise AssertionError("the step path assembled the block matrix")
+
+        monkeypatch.setattr(timeloop.IntervalOperator, "matrix",
+                            property(unreachable))
+        _, data = mms_problem
+        mesh = distort(unit_square_mesh(2), 0.25, 1)
+        sol = run(data, mesh, p=1, r=2, n_steps=3, solver=solver)
+        assert len(sol.gauss_rows) == 3
+        # nor does a step whose first solve misses and is refined
+        scalar, flux = build_pair(mesh, 1)
+        u0, _ = initial_coefficients(data, scalar, flux)
+        system = build_step_system(
+            0, build_basis(2), SystemMatrices(scalar, flux, data.diffusion),
+            data, u0, TimePartition.uniform(1.0, 3))
+        calls = _perturb_solves(system, eps=1e-4, misses=1)
+        solve_step(system, strategy=solver)
+        assert len(calls) == 2
+
     def test_usable_after_its_matrices_are_dropped(self):
         # the operator holds the spaces and matrices it reads, so it still
         # factors and solves once the SystemMatrices that built it is gone

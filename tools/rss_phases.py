@@ -16,6 +16,11 @@ and one after the two error norms, with:
   read from its list and tuple attributes, so checkouts that store the
   coefficients differently are measured alike.
 
+After the sweep, tracemalloc stops and the sweep runs REPEATS more times
+unprinted, as the benchmark's worker repeats sweeps in one process; one last
+line, `sweeps N maxrss X MB`, gives the peak RSS after all N sweeps.  Heap
+fragmentation can put it several MB above the first sweep's peak.
+
 tracemalloc's own bookkeeping counts in the RSS, so compare the RSS of two
 checkouts with this tool only against each other.
 """
@@ -33,6 +38,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 MIB = 2.0**20
+REPEATS = 2
 
 
 def coefficient_bytes(solution):
@@ -49,17 +55,22 @@ def coefficient_bytes(solution):
                if isinstance(value, (list, tuple)))
 
 
+def maxrss_mb():
+    """The process's peak RSS so far, MB of 2^20 bytes."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def phase_line(level, phase, solution):
     """One printed line: peak RSS, traced memory and coefficient bytes."""
     current, peak = tracemalloc.get_traced_memory()
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return (f"L{level} {phase:<5} maxrss {maxrss:7.1f} MB  traced "
+    return (f"L{level} {phase:<5} maxrss {maxrss_mb():7.1f} MB  traced "
             f"{current / MIB:7.1f} MiB  peak {peak / MIB:7.1f} MiB  rows "
             f"{coefficient_bytes(solution) / MIB:7.2f} MiB")
 
 
 def sweep(workload, seed):
-    """One sweep, printing two lines per level (run in the child)."""
+    """One sweep printing two lines per level, then REPEATS more and the
+    final peak RSS (run in the child)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
     from stmfem.assembly import CoefficientField
@@ -73,19 +84,28 @@ def sweep(workload, seed):
                        initial_scalar=exact.initial_scalar(),
                        source=exact.source, final_time=config.final_time,
                        initial_flux=exact.initial_flux())
+
+    def level_loop(printed):
+        for level in config.levels():
+            mesh = build_level_mesh(config, level)
+            tracemalloc.reset_peak()
+            solution = run(data, mesh, p=config.p, r=config.r,
+                           n_steps=config.n_steps(level), solver=config.solver)
+            if printed:
+                print(phase_line(level, "run", solution), flush=True)
+            tracemalloc.reset_peak()
+            error_u(solution, exact)
+            error_q_V(solution, exact)
+            if printed:
+                print(phase_line(level, "norms", solution), flush=True)
+            del solution
+
     tracemalloc.start()
-    for level in config.levels():
-        mesh = build_level_mesh(config, level)
-        tracemalloc.reset_peak()
-        solution = run(data, mesh, p=config.p, r=config.r,
-                       n_steps=config.n_steps(level), solver=config.solver)
-        print(phase_line(level, "run", solution), flush=True)
-        tracemalloc.reset_peak()
-        error_u(solution, exact)
-        error_q_V(solution, exact)
-        print(phase_line(level, "norms", solution), flush=True)
-        del solution
+    level_loop(printed=True)
     tracemalloc.stop()
+    for _ in range(REPEATS):
+        level_loop(printed=False)
+    print(f"sweeps {1 + REPEATS} maxrss {maxrss_mb():7.1f} MB", flush=True)
 
 
 def main(argv=None):
