@@ -377,7 +377,9 @@ def run(data, mesh, p, r, n_steps, solver="direct"):
     """March the scheme over a uniform partition of (0, T] with N intervals.
 
     The solution keeps the (U, Q) views `solve_step` returns, one array of
-    r (n_scalar + n_flux) floats per interval.
+    r (n_scalar + n_flux) floats per interval.  Its scalar space keeps its
+    `assembly.evaluation` tables, which the loads read; its flux space holds
+    none, and `mms.error_q_V` rebuilds them from the cached cell geometry.
     """
     _check_solver(solver)
     partition = TimePartition.uniform(data.final_time, n_steps)
@@ -385,6 +387,7 @@ def run(data, mesh, p, r, n_steps, solver="direct"):
     scalar_space, flux_space = build_pair(mesh, p)
     matrices = SystemMatrices(scalar_space, flux_space, data.diffusion)
     u0, q0 = initial_coefficients(data, scalar_space, flux_space)
+    flux_space.evaluations.clear()  # read by M_D, B and q0 only, not the march
     solution = SpaceTimeSolution(partition, basis, scalar_space, flux_space,
                                  u0, q0)
     for n in range(n_steps):

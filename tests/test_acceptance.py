@@ -263,7 +263,7 @@ def _flux_err(space, coef, g, rule):
     from stmfem.assembly import piola_values
     vals, _, (phys, _, det) = piola_values(space, rule)
     wdet = rule.weights[None, :] * det
-    vh = np.einsum("cqla,cl->cqa", vals, coef[space.cell_dofs])
+    vh = np.einsum("cqal,cl->cqa", vals, coef[space.cell_dofs])
     ge = g(phys.reshape(-1, 2)).reshape(vh.shape)
     return float(np.sqrt(np.sum(wdet * np.sum((vh - ge) ** 2, axis=2))))
 

@@ -99,9 +99,34 @@ def test_weighted_mass_flux_entry_oracle(level1_pair, rng):
             if i in dofs and j in dofs:
                 li, lj = dofs.index(i), dofs.index(j)
                 oracle += float(np.sum(
-                    wdet[k] * np.sum(vals[k, :, lj] * vals[k, :, li], axis=1)))
+                    wdet[k] * np.sum(vals[k, :, :, lj] * vals[k, :, :, li], axis=1)))
         assert abs(coo.data[t] - oracle) < 1e-12 * max(1.0, abs(oracle))
 
+
+
+@pytest.mark.parametrize("distortion", [0.0, 0.25])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_piola_values_match_per_point_oracle(p, distortion):
+    # J v_ref / det J times the cell's signs, point by point and bitwise; a
+    # point's x and y rows come before the local dofs
+    m = unit_square_mesh(2)
+    if distortion:
+        m = distort(m, distortion, level_seed(5, 2))
+    _, flux = build_pair(m, p)
+    rule = tensor_unit(p + 3)
+    vals, divs, (_, J, det) = piola_values(flux, rule)
+    ref_vals = flux.ref.tabulate(rule.points)
+    ref_divs = flux.ref.tabulate_div(rule.points)
+    nc, nq = det.shape
+    assert vals.shape == (nc, nq, 2, flux.ref.n_local)
+    for c in range(nc):
+        signs = flux.cell_signs[c]
+        for q in range(nq):
+            for a in range(2):
+                oracle = (J[c, q, a, 0] * ref_vals[q, :, 0]
+                          + J[c, q, a, 1] * ref_vals[q, :, 1]) / det[c, q] * signs
+                assert np.array_equal(vals[c, q, a], oracle)
+            assert np.array_equal(divs[c, q], ref_divs[q] / det[c, q] * signs)
 
 @pytest.mark.parametrize("builder", ["scalar", "flux"])
 def test_spd_randomized(level1_pair, rng, builder):

@@ -478,6 +478,6 @@ def _l2_error_scalar(space, coef, g, rule):
 def _l2_error_flux(space, coef, g, rule):
     vals, _, (phys, _, det) = assembly.piola_values(space, rule)
     wdet = rule.weights[None, :] * det
-    vh = np.einsum("cqla,cl->cqa", vals, coef[space.cell_dofs])
+    vh = np.einsum("cqal,cl->cqa", vals, coef[space.cell_dofs])
     ge = g(phys.reshape(-1, 2)).reshape(vh.shape)
     return float(np.sqrt(np.sum(wdet * np.sum((vh - ge) ** 2, axis=2))))

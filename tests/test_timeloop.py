@@ -740,6 +740,55 @@ class TestRun:
                 ref = eval_scalar(sol.scalar_space, right_u, k, xhat)
                 assert np.max(np.abs(vals - ref)) < 1e-13
 
+    def test_run_drops_the_flux_tables(self, mms_problem, monkeypatch):
+        # set-up's flux Evaluation, recorded as assembly.evaluation returns it
+        import stmfem.assembly as asm
+
+        _, data = mms_problem
+        evaluation = asm.evaluation
+        built = []
+
+        def recording(space, order=None):
+            built.append((space, evaluation(space, order)))
+            return built[-1][1]
+
+        monkeypatch.setattr(asm, "evaluation", recording)
+        sol = run(data, distort(unit_square_mesh(2), 0.2, 3), p=2, r=2,
+                  n_steps=3)
+        assert sol.flux_space.evaluations == {}
+        assert list(sol.scalar_space.evaluations) == [5]
+        setup = {id(ev): ev for space, ev in built if space is sol.flux_space}
+        assert len(setup) == 1
+        (setup,) = setup.values()
+        # a rebuild after the drop is a new table with the same numbers
+        rebuilt = evaluation(sol.flux_space)
+        assert rebuilt is not setup
+        for name in ("values", "divs", "weights", "points"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(setup, name))
+
+    @pytest.mark.parametrize("solver", ["direct", "schur"])
+    def test_error_q_V_with_the_flux_tables_kept(self, mms_problem, monkeypatch,
+                                                 solver):
+        # a flux space whose tables ignore the drop keeps set-up's tables,
+        # and error_q_V reads those instead of a rebuild
+        class Kept(dict):
+            def clear(self):
+                pass
+
+        def keeping(mesh, p):
+            scalar, flux = build_pair(mesh, p)
+            object.__setattr__(flux, "evaluations", Kept())
+            return scalar, flux
+
+        exact, data = mms_problem
+        mesh = distort(unit_square_mesh(2), 0.2, 3)
+        dropped = run(data, mesh, p=2, r=2, n_steps=3, solver=solver)
+        monkeypatch.setattr(timeloop, "build_pair", keeping)
+        kept = run(data, mesh, p=2, r=2, n_steps=3, solver=solver)
+        assert dropped.flux_space.evaluations == {}
+        assert list(kept.flux_space.evaluations) == [5]
+        assert st.error_q_V(dropped, exact) == st.error_q_V(kept, exact)
+
     def test_unknown_solver_fails_before_set_up(self, zero_data, monkeypatch):
         # a nonzero initial flux is projected with one splu; a solver run()
         # cannot apply fails before that, or any space or matrix, is built

@@ -14,7 +14,11 @@ and one after the two error norms, with:
   within the phase (MiB);
 - `rows`: the bytes of the coefficient arrays the solution holds (MiB),
   read from its list and tuple attributes, so checkouts that store the
-  coefficients differently are measured alike.
+  coefficients differently are measured alike;
+- `tables`: the bytes of the `assembly.evaluation` tables (values and
+  divergences) the solution's two spaces hold (MiB), a table broadcast over
+  the cells (stride 0) counted once.  `run()` drops the flux tables, and the
+  flux error norm builds them again.
 
 After the sweep, tracemalloc stops and the sweep runs REPEATS more times
 unprinted, as the benchmark's worker repeats sweeps in one process; one last
@@ -55,17 +59,27 @@ def coefficient_bytes(solution):
                if isinstance(value, (list, tuple)))
 
 
+def table_bytes(solution):
+    """Bytes of the `evaluation` tables of the solution's two spaces: values
+    and divergences, a stride-0 table at the size of its one cell's table."""
+    return sum(table[0].nbytes if table.strides[0] == 0 else table.nbytes
+               for space in (solution.scalar_space, solution.flux_space)
+               for ev in space.evaluations.values()
+               for table in (ev.values, ev.divs) if table is not None)
+
+
 def maxrss_mb():
     """The process's peak RSS so far, MB of 2^20 bytes."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def phase_line(level, phase, solution):
-    """One printed line: peak RSS, traced memory and coefficient bytes."""
+    """One printed line: peak RSS, traced memory, coefficient and table bytes."""
     current, peak = tracemalloc.get_traced_memory()
     return (f"L{level} {phase:<5} maxrss {maxrss_mb():7.1f} MB  traced "
             f"{current / MIB:7.1f} MiB  peak {peak / MIB:7.1f} MiB  rows "
-            f"{coefficient_bytes(solution) / MIB:7.2f} MiB")
+            f"{coefficient_bytes(solution) / MIB:7.2f} MiB  tables "
+            f"{table_bytes(solution) / MIB:7.2f} MiB")
 
 
 def sweep(workload, seed):
