@@ -12,23 +12,31 @@ M_W is diagonal on every bilinear mesh: the scalar basis is Lagrange at the
 
 All integrals use tensor Gauss rules; on bilinear cell maps the integrand
 of M_D is rational, so the rule order is chosen one notch above
-polynomial exactness: (p+3) points per direction.  `evaluation` is the one
-place that picks that rule; M_W, M_D, B, the loads, the projections and the
-error norms read one set of tables per space and order, built on first use
-and kept on the space; `timeloop.run` drops the flux tables once set-up has
-read them, as the march reads only the scalar ones.  The cell geometry under
-that rule (physical points, Jacobians, determinants) is mapped once per mesh
-and order and shared, read-only, by the scalar and flux tables (and their
-rebuilds) and by `rt_interpolate`.  The tables are dense per cell, (cells,
-points, local dofs), and every consumer applies them with batched products
-over the cells: forward to evaluate a function, transposed to integrate
-against the basis.  The scalar table is the same on every cell, so it is
-applied as one product with all cells' data instead.  M_D and B are sums
-over cells of Galerkin products L_c^T K_c R_c of two tables and a pointwise
-weight, built once from COO; in B = E^T diag(w) D the det J of the weights
-cancels the 1/det J of the flux divergences D.  An entry of M_D or B is a sum of n = 2 (p+3)^2 point terms,
-so by Cauchy-Schwarz its rounding error is at most gamma_n sqrt(d_i d_j),
-with gamma_n = n u / (1 - n u) and d the squared norms of the two basis
+polynomial exactness: (p+3) points per direction, picked in one place,
+`_order`.  The cell geometry under that rule (physical points, Jacobians,
+determinants) is mapped once per mesh and order and shared, read-only, by
+every consumer.  M_D, B and the flux moments read only that geometry and
+the reference flux basis: under the contravariant Piola map
+v = s J v_ref / det J (s the cell's orientation signs) an entry of M_D on a
+cell is s_a s_b sum_q v_ref_a^T K_q v_ref_b with the 2 x 2 point weight
+K_q = w_q J^T D^{-1} J / det J, det J cancels in <div v_j, w_i>, so every
+cell's block of B is one reference block times the cell's signs, and
+<g, v_i> = s_i sum_q w_q (J^T g) . v_ref_i.  No per-cell flux table is
+built for them.
+
+`evaluation` builds the dense per-cell quadrature tables, (cells, points,
+local dofs), that the loads, the scalar projection and the error norms
+read, one set per space and order, built on first use and kept on the
+space; in a run the flux tables are built by `mms.error_q_V` alone.  Every
+consumer applies them with batched products over the cells: forward to
+evaluate a function, transposed to integrate against the basis.  The scalar
+table is the same on every cell, so it is applied as one product with all
+cells' data instead.
+
+M_D and B are summed from their cells' blocks once, through COO.  An entry
+of either is a sum of n = 2 (p+3)^2 point terms, so by Cauchy-Schwarz its
+rounding error is at most gamma_n sqrt(d_i d_j), with
+gamma_n = n u / (1 - n u) and d the squared norms of the two basis
 functions under the rule.  Entries within that bound of zero cannot be told
 from zero (most are the residue of integrals that vanish), so they are not
 stored.
@@ -85,7 +93,10 @@ class CoefficientField:
         D = self.matrix(points)
         if not np.all(np.isfinite(D)):
             raise InvalidCoefficientError("diffusion tensor is not finite")
-        if not np.max(np.abs(D - np.transpose(D, (0, 2, 1)))) <= 1e-12:
+        # symmetric to 8 units of roundoff of the point's largest entry, at
+        # any scale: R diag(d) R^T built by products is off by about one
+        ulp = np.finfo(float).eps * np.max(np.abs(D), axis=(1, 2))
+        if not np.all(np.abs(D[:, 0, 1] - D[:, 1, 0]) <= 8 * ulp):
             raise InvalidCoefficientError("diffusion tensor is not symmetric")
         tr = D[:, 0, 0] + D[:, 1, 1]
         det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
@@ -201,17 +212,27 @@ class Evaluation:
             for column in columns])
 
 
-def evaluation(space, order=None):
-    """The space's tables under the order x order Gauss rule, cached by order.
+def _order(space, order=None):
+    """The Gauss points per direction of the spatial rule: p + 3 unless
+    `order` is given.  The one place that picks the default, which serves
+    the matrices, loads, projections, interpolant and error norms."""
+    return space.p + 3 if order is None else order
 
-    The one place that picks the spatial rule: the default order p + 3
-    serves the matrices, loads, projections and error norms.
-    """
-    order = space.p + 3 if order is None else order
+
+def _rule_and_geometry(space, order=None):
+    """The order x order tensor rule (default `_order`) and the cell geometry
+    of the space's mesh under it."""
+    order = _order(space, order)
+    return tensor_unit(order), _mesh_geometry(space.mesh, order)
+
+
+def evaluation(space, order=None):
+    """The space's tables under the order x order Gauss rule, cached by order
+    (default `_order`)."""
+    order = _order(space, order)
     if order in space.evaluations:
         return space.evaluations[order]
-    rule = tensor_unit(order)
-    geometry = _mesh_geometry(space.mesh, order)
+    rule, geometry = _rule_and_geometry(space, order)
     phys, _, det = geometry
     if isinstance(space, FluxSpace):
         vals, divs, _ = piola_values(space, rule, geometry)
@@ -228,40 +249,37 @@ def evaluation(space, order=None):
     return ev
 
 
-def _galerkin(left, left_table, weighted_right, right, norms=None):
-    """The matrix sum over cells of L_c^T (K_c R_c), for the tables L of
-    `left` and the weighted tables K R of `right`, built once from COO.
+def _summed(local, row_dofs, col_dofs, shape, n_points, norms=None):
+    """The matrix summing the cells' blocks local (cells, rows, cols) into
+    the global dofs row_dofs (cells, rows) and col_dofs (cells, cols), built
+    once from COO.
 
-    `norms` holds the squared norms (d_i, d_j) of the row and column basis
-    functions, by default the matrix's own diagonal twice; entries within
-    their rounding bound of zero are dropped.
+    An entry sums the point terms of its two cells' integrals under a rule
+    of `n_points` points.  `norms` holds the squared norms (d_i, d_j) of the
+    row and column basis functions, by default the matrix's own diagonal
+    twice; entries within their rounding bound of zero are dropped.
     """
-    local = np.matmul(left_table.transpose(0, 2, 1), weighted_right)
-    rows = np.broadcast_to(left.cell_dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(right.cell_dofs[:, None, :], local.shape)
+    rows = np.broadcast_to(row_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], local.shape)
     matrix = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                           shape=(left.n_dofs, right.n_dofs)).tocsr()
-    n = 2 * len(left.rule.weights)       # point terms in an entry, two cells
+                           shape=shape).tocsr()
+    n = 2 * n_points
     u = np.finfo(float).eps / 2
     gamma = n * u / (1.0 - n * u)
     d_rows, d_cols = (matrix.diagonal(),) * 2 if norms is None else norms
-    entry_rows = np.repeat(np.arange(left.n_dofs), np.diff(matrix.indptr))
+    entry_rows = np.repeat(np.arange(shape[0]), np.diff(matrix.indptr))
     bound = gamma * np.sqrt(d_rows[entry_rows] * d_cols[matrix.indices])
     matrix.data[np.abs(matrix.data) <= bound] = 0.0
     matrix.eliminate_zeros()
     return matrix
 
 
-def _cell_weights(ev):
-    """Point weights per cell, (nc, nq, 1), to scale a table's rows."""
-    return ev.weights.reshape(len(ev.cell_dofs), -1, 1)
-
-
 def _mass_scalar_diagonal(space):
     """The diagonal of M_W, sum_q w_q det J w_i(x_q)^2, which is all it stores."""
     ev = evaluation(space)
     diagonal = np.empty(space.n_dofs)
-    diagonal[ev.cell_dofs] = _cell_weights(ev)[:, :, 0] @ ev.values[0] ** 2
+    diagonal[ev.cell_dofs] = (ev.weights.reshape(len(ev.cell_dofs), -1)
+                              @ ev.values[0] ** 2)
     return diagonal
 
 
@@ -273,32 +291,49 @@ def assemble_mass_scalar(space):
 
 
 def assemble_weighted_mass_flux(space, coefficient):
-    """Weighted flux mass matrix <D^{-1} v_j, v_i>."""
-    ev = evaluation(space)
-    nc, rows, nl = ev.values.shape
-    blocks = ev.weights[:, None, None] * coefficient.inverse_at(ev.points)
-    weighted = np.matmul(blocks.reshape(nc, -1, 2, 2),
-                         ev.values.reshape(nc, -1, 2, nl))
-    return _galerkin(ev, ev.values, weighted.reshape(nc, rows, nl), ev)
+    """Weighted flux mass matrix <D^{-1} v_j, v_i>.
+
+    A cell's block is s_a s_b sum_q v_ref_a^T K_q v_ref_b: the cells' 2 x 2
+    point weights K_q = w_q J^T D^{-1} J / det J, contracted with the
+    reference products v_ref_a,l v_ref_b,m in one product over (q, l, m).
+    """
+    rule, (phys, J, det) = _rule_and_geometry(space)
+    nc, nq = det.shape
+    ref = space.ref.tabulate(rule.points)                     # (nq, nl, 2)
+    nl = ref.shape[1]
+    inverse = coefficient.inverse_at(phys.reshape(-1, 2)).reshape(J.shape)
+    weights = np.matmul(J.transpose(0, 1, 3, 2), np.matmul(inverse, J))
+    weights *= (rule.weights / det)[:, :, None, None]
+    products = np.einsum("qal,qbm->qlmab", ref, ref).reshape(4 * nq, nl * nl)
+    local = (weights.reshape(nc, 4 * nq) @ products).reshape(nc, nl, nl)
+    local *= space.cell_signs[:, :, None]
+    local *= space.cell_signs[:, None, :]
+    return _summed(local, space.cell_dofs, space.cell_dofs,
+                   (space.n_dofs, space.n_dofs), nq)
 
 
 def assemble_div_coupling(flux_space, scalar_space):
     """Divergence coupling B[i, j] = <div v_j, w_i> (scalar rows, flux columns).
 
-    Reads the scalar values and flux divergences of the two spaces'
-    `evaluation` tables, which share points and weights when the spaces
-    share a mesh and a degree; anything else raises ValueError.
+    det J cancels, so a cell's block is the reference block
+    sum_q w_q w_i div v_ref_j times the cell's flux signs.  The two spaces
+    must share a mesh and a degree; anything else raises ValueError.
     """
     if (flux_space.mesh is not scalar_space.mesh
             or flux_space.p != scalar_space.p):
         raise ValueError("flux and scalar spaces must share a mesh and degree")
-    scalar, flux = evaluation(scalar_space), evaluation(flux_space)
-    weighted_divs = _cell_weights(scalar) * flux.divs
-    local = np.einsum("cqi,cqi->ci", weighted_divs, flux.divs)
-    div_norms = np.bincount(flux.cell_dofs.ravel(), weights=local.ravel(),
-                            minlength=flux.n_dofs)
-    return _galerkin(scalar, scalar.values, weighted_divs, flux,
-                     (_mass_scalar_diagonal(scalar_space), div_norms))
+    rule, (_, _, det) = _rule_and_geometry(flux_space)
+    ref_divs = flux_space.ref.tabulate_div(rule.points)       # (nq, nl)
+    block = (rule.weights[:, None]
+             * scalar_space.ref.tabulate(rule.points)).T @ ref_divs
+    local = block * flux_space.cell_signs[:, None, :]
+    # ||div v_j||^2 = sum over its cells of sum_q w_q div v_ref_j^2 / det J
+    div_norms = np.bincount(flux_space.cell_dofs.ravel(),
+                            weights=((rule.weights / det) @ ref_divs**2).ravel(),
+                            minlength=flux_space.n_dofs)
+    return _summed(local, scalar_space.cell_dofs, flux_space.cell_dofs,
+                   (scalar_space.n_dofs, flux_space.n_dofs), len(rule.weights),
+                   (_mass_scalar_diagonal(scalar_space), div_norms))
 
 
 def sample_in_time(f, points, times, vector=False):
@@ -322,10 +357,20 @@ def assemble_load(space, f, times):
 
 
 def assemble_flux_moments(space, g):
-    """Vector of <g, v_i> for a vector-valued g; RHS of an L2 flux projection."""
-    ev = evaluation(space)
-    data = ev.weights[:, None] * g(ev.points)
-    return ev.apply_transposed(ev.values, data)[:, 0]
+    """Vector of <g, v_i> for a vector-valued g; RHS of an L2 flux projection.
+
+    A cell's moment of v_i is s_i sum_q w_q (J^T g) . v_ref_i.
+    """
+    rule, (phys, J, _) = _rule_and_geometry(space)
+    nc, nq = J.shape[:2]
+    ref = space.ref.tabulate(rule.points)                     # (nq, nl, 2)
+    values = np.asarray(g(phys.reshape(-1, 2))).reshape(nc, nq, 1, 2)
+    pulled = np.matmul(values, J)[:, :, 0, :]                 # (J^T g)^T
+    pulled *= rule.weights[:, None]
+    local = pulled.reshape(nc, -1) @ ref.transpose(0, 2, 1).reshape(2 * nq, -1)
+    local *= space.cell_signs
+    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
+                       minlength=space.n_dofs)
 
 
 def l2_project_scalar(g, space):
@@ -368,7 +413,7 @@ def rt_interpolate(g, space, order=None):
     if not isinstance(space, FluxSpace):
         raise TypeError("rt_interpolate needs a flux space")
     mesh = space.mesh
-    order = space.p + 3 if order is None else order
+    order = _order(space, order)
     rule_1d = gauss_legendre_unit(order)
     edge_w, interior_w = space.ref.dof_weights(rule_1d)
     coef = np.empty(space.n_dofs)

@@ -61,8 +61,9 @@ class ProblemData:
 class SystemMatrices:
     """The three time-independent matrices plus the current interval operator.
 
-    M_W and M_D use the `assembly.evaluation` tables the loads and initial
-    projections read; a coefficient that is not finite and SPD there raises.
+    They are integrated under the spatial rule the loads and initial
+    projections use; a coefficient that is not finite and SPD at its points
+    raises.
     """
 
     def __init__(self, scalar_space, flux_space, coefficient):
@@ -379,7 +380,8 @@ def run(data, mesh, p, r, n_steps, solver="direct"):
     The solution keeps the (U, Q) views `solve_step` returns, one array of
     r (n_scalar + n_flux) floats per interval.  Its scalar space keeps its
     `assembly.evaluation` tables, which the loads read; its flux space holds
-    none, and `mms.error_q_V` rebuilds them from the cached cell geometry.
+    none, as M_D, B and the initial flux moments are built from the reference
+    basis and the cell geometry, and `mms.error_q_V` builds them.
     """
     _check_solver(solver)
     partition = TimePartition.uniform(data.final_time, n_steps)
@@ -387,7 +389,6 @@ def run(data, mesh, p, r, n_steps, solver="direct"):
     scalar_space, flux_space = build_pair(mesh, p)
     matrices = SystemMatrices(scalar_space, flux_space, data.diffusion)
     u0, q0 = initial_coefficients(data, scalar_space, flux_space)
-    flux_space.evaluations.clear()  # read by M_D, B and q0 only, not the march
     solution = SpaceTimeSolution(partition, basis, scalar_space, flux_space,
                                  u0, q0)
     for n in range(n_steps):

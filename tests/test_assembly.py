@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as hst
 from numpy.testing import assert_allclose
 
 from stmfem.assembly import (
     CoefficientField,
     assemble_div_coupling,
+    assemble_flux_moments,
     assemble_load,
     assemble_mass_scalar,
     assemble_weighted_mass_flux,
     cell_geometry,
     evaluation,
+    l2_project_flux,
     piola_values,
     rt_interpolate,
 )
@@ -189,6 +192,116 @@ def test_div_coupling_entry_oracle(p):
     assert np.max(np.abs(B - oracle)) <= 1e-13 * np.max(np.abs(B))
 
 
+def _variable_diffusion(x):
+    """R(x) diag(1 + x1^2, 2 + sin 3 x2) R(x)^T, R the rotation by x1 + 2 x2,
+    built by products and so symmetric only to rounding."""
+    angle = x[:, 0] + 2.0 * x[:, 1]
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    scale = np.zeros_like(rot)
+    scale[:, 0, 0] = 1.0 + x[:, 0] ** 2
+    scale[:, 1, 1] = 2.0 + np.sin(3.0 * x[:, 1])
+    return rot @ scale @ rot.transpose(0, 2, 1)
+
+
+_ROTATION = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+_ANISOTROPIC = _ROTATION @ np.diag([1.0, 30.0]) @ _ROTATION.T
+DIFFUSIONS = {
+    "identity": CoefficientField.identity(),
+    "anisotropic": CoefficientField(
+        lambda x: np.repeat(_ANISOTROPIC[None], len(x), axis=0)),
+    "variable": CoefficientField(_variable_diffusion),
+}
+
+
+def _table_galerkin(left, left_dofs, right, right_dofs, shape, nq, norms=None):
+    """The per-cell table Galerkin product, dense: the sum over cells of
+    left_c^T right_c, tables (cells, rows, local dofs), at the cells' dofs,
+    without the entries within gamma_n sqrt(d_i d_j) of zero, for n = 2 nq
+    point terms and d the product's diagonal unless `norms` gives them."""
+    local = np.matmul(left.transpose(0, 2, 1), right)
+    rows = np.broadcast_to(left_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(right_dofs[:, None, :], local.shape)
+    matrix = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                           shape=shape).toarray()
+    n, u = 2 * nq, 0.5 * np.finfo(float).eps
+    d_rows, d_cols = (np.diag(matrix),) * 2 if norms is None else norms
+    bound = n * u / (1.0 - n * u) * np.sqrt(np.outer(d_rows, d_cols))
+    matrix[np.abs(matrix) <= bound] = 0.0
+    return matrix
+
+
+def _oracle_mesh(distortion):
+    m = unit_square_mesh(2)
+    return distort(m, distortion, level_seed(31, 2)) if distortion else m
+
+
+@pytest.mark.parametrize("diffusion", list(DIFFUSIONS))
+@pytest.mark.parametrize("distortion", [0.0, 0.25, 0.45])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_matrices_match_the_table_galerkin_products(p, distortion, diffusion):
+    # M_D and B from the reference basis and the cell geometry against the
+    # sums over cells of L_c^T K_c R_c of the per-cell Piola tables: the same
+    # entries stored, each within 1e-13 of its row's largest entry
+    m = _oracle_mesh(distortion)
+    scalar, flux = build_pair(m, p)
+    coefficient = DIFFUSIONS[diffusion]
+    rule = tensor_unit(p + 3)
+    vals, divs, (phys, _, det) = piola_values(flux, rule)
+    nc, nq, _, nl = vals.shape
+    w = rule.weights * det                                    # (nc, nq)
+    inverse = coefficient.inverse_at(phys.reshape(-1, 2)).reshape(nc, nq, 2, 2)
+    weighted = w[:, :, None, None] * np.matmul(inverse, vals)
+    mass_d = _table_galerkin(vals.reshape(nc, -1, nl), flux.cell_dofs,
+                             weighted.reshape(nc, -1, nl), flux.cell_dofs,
+                             (flux.n_dofs, flux.n_dofs), nq)
+    phi = np.broadcast_to(scalar.ref.tabulate(rule.points), (nc, nq, (p + 1) ** 2))
+    mass_w = np.bincount(scalar.cell_dofs.ravel(),
+                         weights=np.einsum("cq,cqi->ci", w, phi ** 2).ravel())
+    div_norms = np.bincount(flux.cell_dofs.ravel(), minlength=flux.n_dofs,
+                            weights=np.einsum("cq,cqi->ci", w, divs ** 2).ravel())
+    div = _table_galerkin(phi, scalar.cell_dofs, w[:, :, None] * divs,
+                          flux.cell_dofs, (scalar.n_dofs, flux.n_dofs), nq,
+                          (mass_w, div_norms))
+    for matrix, oracle in ((assemble_weighted_mass_flux(flux, coefficient), mass_d),
+                           (assemble_div_coupling(flux, scalar), div)):
+        dense = matrix.toarray()
+        assert matrix.nnz == np.count_nonzero(oracle)
+        assert np.array_equal(dense != 0.0, oracle != 0.0)
+        row_max = np.max(np.abs(oracle), axis=1, keepdims=True)
+        assert np.all(np.abs(dense - oracle) <= 1e-13 * row_max)
+
+
+@pytest.mark.parametrize("distortion", [0.0, 0.25, 0.45])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_flux_moments_and_projection_match_the_table_oracle(p, distortion):
+    # <g, v_i> from J^T g and the reference basis against the moments of the
+    # per-cell Piola tables; l2_project_flux's coefficients reproduce those
+    # moments under the table-built mass
+    m = _oracle_mesh(distortion)
+    _, flux = build_pair(m, p)
+
+    def g(x):
+        return np.column_stack([np.sin(3.0 * x[:, 0]) + x[:, 1],
+                                np.cos(2.0 * x[:, 1]) * x[:, 0] - 0.5])
+
+    rule = tensor_unit(p + 3)
+    vals, _, (phys, _, det) = piola_values(flux, rule)
+    nc, nq, _, nl = vals.shape
+    w = rule.weights * det
+    local = np.einsum("cq,cqd,cqdl->cl", w, g(phys.reshape(-1, 2)).reshape(
+        nc, nq, 2), vals)
+    moments = np.bincount(flux.cell_dofs.ravel(), weights=local.ravel(),
+                          minlength=flux.n_dofs)
+    scale = np.max(np.abs(moments))
+    assert np.max(np.abs(assemble_flux_moments(flux, g) - moments)) <= 1e-13 * scale
+    mass = _table_galerkin(vals.reshape(nc, -1, nl), flux.cell_dofs,
+                           (w[:, :, None, None] * vals).reshape(nc, -1, nl),
+                           flux.cell_dofs, (flux.n_dofs, flux.n_dofs), nq)
+    projected = l2_project_flux(g, flux)
+    assert np.max(np.abs(mass @ projected - moments)) <= 1e-13 * scale
+
+
 def test_mesh_mismatch_rejected():
     s0, _ = build_pair(unit_square_mesh(1), 1)
     _, f1 = build_pair(unit_square_mesh(2), 1)
@@ -290,6 +403,24 @@ class TestCoefficientField:
         D = CoefficientField(bad)
         with pytest.raises(InvalidCoefficientError):
             D.inverse_at(np.array([[0.2, 0.2]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e5])
+    def test_symmetry_is_judged_at_the_tensor_scale(self, scale):
+        # s R diag(1, 3) R^T built by products is symmetric to about one ulp
+        # of s, so it passes at any s; an off-diagonal mismatch of 1e-12 s
+        # still raises
+        angle = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 1000)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        D = scale * rot @ np.diag([1.0, 3.0]) @ rot.transpose(0, 2, 1)
+        points = np.zeros((len(D), 2))
+        inverse = CoefficientField(lambda x: D).inverse_at(points)
+        assert_allclose(inverse @ D, np.broadcast_to(np.eye(2), D.shape),
+                        atol=1e-14)
+        skew = D.copy()
+        skew[500, 0, 1] += 1e-12 * scale
+        with pytest.raises(InvalidCoefficientError, match="not symmetric"):
+            CoefficientField(lambda x: skew).inverse_at(points)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(InvalidCoefficientError):

@@ -41,12 +41,14 @@ def test_two_lines_per_level():
          "--seed", "1"],
         capture_output=True, text=True, check=True, timeout=300).stdout
     lines = out.splitlines()
-    # the last line: the peak RSS after the sweep and its REPEATS repeats,
-    # a high-water mark, so never below the first sweep's last reading
-    words = lines.pop().split()
-    assert words[:3] == ["sweeps", str(1 + rss_phases.REPEATS), "maxrss"]
-    assert words[4] == "MB"
-    assert float(words[3]) >= float(lines[-1].split()[3]) > 0.0
+    # one line after each sweep: the peak RSS so far, a high-water mark, so
+    # never below the reading before it
+    sweeps = [lines.pop().split() for _ in range(1 + rss_phases.REPEATS)][::-1]
+    peaks = [float(lines[-1].split()[3])]
+    for k, words in enumerate(sweeps, start=1):
+        assert words[:3] + words[4:] == ["sweep", str(k), "maxrss", "MB"]
+        peaks.append(float(words[3]))
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
     assert [line.split()[:2] for line in lines] == [
         [f"L{level}", phase] for level in range(5) for phase in ("run", "norms")]
     for line in lines:

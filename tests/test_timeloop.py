@@ -443,7 +443,6 @@ def _rotated_diffusion(angle, ratio):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     D = rot @ np.diag([1.0, ratio]) @ rot.T
-    D = 0.5 * (D + D.T)
     return CoefficientField(
         lambda x: np.repeat(D[None], len(np.atleast_2d(x)), axis=0))
 
@@ -740,54 +739,33 @@ class TestRun:
                 ref = eval_scalar(sol.scalar_space, right_u, k, xhat)
                 assert np.max(np.abs(vals - ref)) < 1e-13
 
-    def test_run_drops_the_flux_tables(self, mms_problem, monkeypatch):
-        # set-up's flux Evaluation, recorded as assembly.evaluation returns it
+    @pytest.mark.parametrize("solver", ["direct", "schur"])
+    def test_only_the_flux_error_norm_maps_flux_tables(self, mms_problem,
+                                                       monkeypatch, solver):
+        # M_D, B and the moments of a nonzero initial flux come from the
+        # reference basis and the cell geometry: run() makes no Piola table,
+        # and the two error norms make one per level, for its flux space
         import stmfem.assembly as asm
 
-        _, data = mms_problem
-        evaluation = asm.evaluation
-        built = []
+        piola_values = asm.piola_values
+        mapped = []
 
-        def recording(space, order=None):
-            built.append((space, evaluation(space, order)))
-            return built[-1][1]
+        def counting(space, *args, **kwargs):
+            mapped.append(space)
+            return piola_values(space, *args, **kwargs)
 
-        monkeypatch.setattr(asm, "evaluation", recording)
-        sol = run(data, distort(unit_square_mesh(2), 0.2, 3), p=2, r=2,
-                  n_steps=3)
-        assert sol.flux_space.evaluations == {}
-        assert list(sol.scalar_space.evaluations) == [5]
-        setup = {id(ev): ev for space, ev in built if space is sol.flux_space}
-        assert len(setup) == 1
-        (setup,) = setup.values()
-        # a rebuild after the drop is a new table with the same numbers
-        rebuilt = evaluation(sol.flux_space)
-        assert rebuilt is not setup
-        for name in ("values", "divs", "weights", "points"):
-            assert np.array_equal(getattr(rebuilt, name), getattr(setup, name))
-
-    @pytest.mark.parametrize("solver", ["direct", "schur"])
-    def test_error_q_V_with_the_flux_tables_kept(self, mms_problem, monkeypatch,
-                                                 solver):
-        # a flux space whose tables ignore the drop keeps set-up's tables,
-        # and error_q_V reads those instead of a rebuild
-        class Kept(dict):
-            def clear(self):
-                pass
-
-        def keeping(mesh, p):
-            scalar, flux = build_pair(mesh, p)
-            object.__setattr__(flux, "evaluations", Kept())
-            return scalar, flux
-
+        monkeypatch.setattr(asm, "piola_values", counting)
         exact, data = mms_problem
-        mesh = distort(unit_square_mesh(2), 0.2, 3)
-        dropped = run(data, mesh, p=2, r=2, n_steps=3, solver=solver)
-        monkeypatch.setattr(timeloop, "build_pair", keeping)
-        kept = run(data, mesh, p=2, r=2, n_steps=3, solver=solver)
-        assert dropped.flux_space.evaluations == {}
-        assert list(kept.flux_space.evaluations) == [5]
-        assert st.error_q_V(dropped, exact) == st.error_q_V(kept, exact)
+        data = dataclasses.replace(data, initial_flux=lambda x: np.column_stack(
+            [1.0 + x[:, 1], x[:, 0] ** 2]))
+        for level in (1, 2):
+            sol = run(data, distort(unit_square_mesh(level), 0.2, 3), p=2, r=2,
+                      n_steps=3, solver=solver)
+            assert len(mapped) == level - 1
+            assert sol.flux_space.evaluations == {}
+            st.error_u(sol, exact)
+            st.error_q_V(sol, exact)
+            assert len(mapped) == level and mapped[-1] is sol.flux_space
 
     def test_unknown_solver_fails_before_set_up(self, zero_data, monkeypatch):
         # a nonzero initial flux is projected with one splu; a solver run()

@@ -17,13 +17,14 @@ and one after the two error norms, with:
   coefficients differently are measured alike;
 - `tables`: the bytes of the `assembly.evaluation` tables (values and
   divergences) the solution's two spaces hold (MiB), a table broadcast over
-  the cells (stride 0) counted once.  `run()` drops the flux tables, and the
-  flux error norm builds them again.
+  the cells (stride 0) counted once.  `run()` builds no flux table; the
+  flux error norm builds them.
 
 After the sweep, tracemalloc stops and the sweep runs REPEATS more times
-unprinted, as the benchmark's worker repeats sweeps in one process; one last
-line, `sweeps N maxrss X MB`, gives the peak RSS after all N sweeps.  Heap
-fragmentation can put it several MB above the first sweep's peak.
+without the level lines, as the benchmark's worker repeats sweeps in one
+process.  After every sweep k, the first included, one line
+`sweep k maxrss X MB` gives the peak RSS so far: heap fragmentation can put
+a later sweep's peak several MB above the first's.
 
 tracemalloc's own bookkeeping counts in the RSS, so compare the RSS of two
 checkouts with this tool only against each other.
@@ -83,8 +84,8 @@ def phase_line(level, phase, solution):
 
 
 def sweep(workload, seed):
-    """One sweep printing two lines per level, then REPEATS more and the
-    final peak RSS (run in the child)."""
+    """One sweep printing two lines per level, then REPEATS more, each
+    sweep followed by the peak RSS so far (run in the child)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
     from stmfem.assembly import CoefficientField
@@ -117,9 +118,10 @@ def sweep(workload, seed):
     tracemalloc.start()
     level_loop(printed=True)
     tracemalloc.stop()
-    for _ in range(REPEATS):
-        level_loop(printed=False)
-    print(f"sweeps {1 + REPEATS} maxrss {maxrss_mb():7.1f} MB", flush=True)
+    for k in range(1, 2 + REPEATS):
+        if k > 1:
+            level_loop(printed=False)
+        print(f"sweep {k} maxrss {maxrss_mb():7.1f} MB", flush=True)
 
 
 def main(argv=None):
