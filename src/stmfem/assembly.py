@@ -13,25 +13,23 @@ M_W is diagonal on every bilinear mesh: the scalar basis is Lagrange at the
 All integrals use tensor Gauss rules; on bilinear cell maps the integrand
 of M_D is rational, so the rule order is chosen one notch above
 polynomial exactness: (p+3) points per direction, picked in one place,
-`_order`.  The cell geometry under that rule (physical points, Jacobians,
-determinants) is mapped once per mesh and order and shared, read-only, by
-every consumer.  M_D, B and the flux moments read only that geometry and
-the reference flux basis: under the contravariant Piola map
-v = s J v_ref / det J (s the cell's orientation signs) an entry of M_D on a
-cell is s_a s_b sum_q v_ref_a^T K_q v_ref_b with the 2 x 2 point weight
+`cell_quadrature`.  It maps the rule through the cells once per mesh and
+order (physical points, w det J, Jacobians, determinants) into a read-only
+`Quadrature` that every consumer shares; the reference elements tabulate
+their bases at the rule's points once per order.  Those two are all any
+integral reads.
+
+The scalar dofs are numbered cell by cell, so a scalar integral or
+evaluation is a reshape of the coefficients or point data to cells times
+one reference table.  M_D, B and the flux moments need no per-cell flux
+table either: under the contravariant Piola map v = s J v_ref / det J
+(s the cell's orientation signs) an entry of M_D on a cell is
+s_a s_b sum_q v_ref_a^T K_q v_ref_b with the 2 x 2 point weight
 K_q = w_q J^T D^{-1} J / det J, det J cancels in <div v_j, w_i>, so every
 cell's block of B is one reference block times the cell's signs, and
-<g, v_i> = s_i sum_q w_q (J^T g) . v_ref_i.  No per-cell flux table is
-built for them.
-
-`evaluation` builds the dense per-cell quadrature tables, (cells, points,
-local dofs), that the loads, the scalar projection and the error norms
-read, one set per space and order, built on first use and kept on the
-space; in a run the flux tables are built by `mms.error_q_V` alone.  Every
-consumer applies them with batched products over the cells: forward to
-evaluate a function, transposed to integrate against the basis.  The scalar
-table is the same on every cell, so it is applied as one product with all
-cells' data instead.
+<g, v_i> = s_i sum_q w_q (J^T g) . v_ref_i.  Only the flux error norm
+builds dense per-cell flux tables (`piola_values`), and drops them when it
+returns.
 
 M_D and B are summed from their cells' blocks once, through COO.  An entry
 of either is a sum of n = 2 (p+3)^2 point terms, so by Cauchy-Schwarz its
@@ -126,127 +124,59 @@ def cell_geometry(mesh, rule):
     return phys, J, det
 
 
-# cell_geometry under the order x order Gauss rule, by mesh and order; the
-# arrays are read-only (exact fields may cache values at the points), and a
-# mesh's entries go with it
-_GEOMETRY = weakref.WeakKeyDictionary()
+@dataclass(frozen=True)
+class Quadrature:
+    """The order x order Gauss rule mapped through every cell of a mesh.
+
+    Points are numbered cell by cell, nq = order^2 to a cell.  The arrays
+    are read-only through their bases, so exact fields may cache their
+    values at `points` (`mms._last_read_only`).
+    """
+
+    order: int
+    rule: TensorRule2D
+    points: np.ndarray   # (nc * nq, 2) physical points
+    weights: np.ndarray  # (nc * nq,) rule weight times det J
+    J: np.ndarray        # (nc, nq, 2, 2)
+    det: np.ndarray      # (nc, nq)
 
 
-def _mesh_geometry(mesh, order):
-    """cell_geometry of the mesh under tensor_unit(order), mapped once."""
-    by_order = _GEOMETRY.setdefault(mesh, {})
+# cell_quadrature's records by mesh and order; a mesh's entries go with it
+_QUADRATURES = weakref.WeakKeyDictionary()
+
+
+def cell_quadrature(space, order=None):
+    """The space's mesh under the order x order Gauss rule, mapped once per
+    mesh and order and shared by every space on the mesh.  The order is
+    p + 3 unless given: the one place that picks the default, which serves
+    the matrices, loads, projections, interpolant and error norms."""
+    order = space.p + 3 if order is None else order
+    by_order = _QUADRATURES.setdefault(space.mesh, {})
     if order not in by_order:
-        geometry = cell_geometry(mesh, tensor_unit(order))
-        for array in geometry:
+        rule = tensor_unit(order)
+        phys, J, det = cell_geometry(space.mesh, rule)
+        weights = rule.weights * det
+        for array in (phys, J, det, weights):
             array.flags.writeable = False
-        by_order[order] = geometry
+        by_order[order] = Quadrature(order, rule, phys.reshape(-1, 2),
+                                     weights.ravel(), J, det)
     return by_order[order]
 
 
-def piola_values(space, rule, geometry=None):
-    """Signed physical flux basis values per cell, plus divergence and geometry.
+def piola_values(space, quad):
+    """Signed physical flux basis values and divergences at quad's points.
 
-    Returns (values, divs, geometry): values (nc, nq, 2, n_local), the x and
-    y rows of each point, carry the Piola weight and orientation signs; divs
+    Returns (values, divs): values (nc, nq, 2, n_local), the x and y rows of
+    each point, carry the Piola weight and orientation signs; divs
     (nc, nq, n_local) carry the 1/det J factor and signs.
     """
-    if geometry is None:
-        geometry = cell_geometry(space.mesh, rule)
-    _, J, det = geometry
     # J @ ref_vals at every point of every cell, in one batched product
-    vals = np.matmul(J, space.ref.tabulate(rule.points).transpose(0, 2, 1))
-    vals /= det[:, :, None, None]
+    vals = np.matmul(quad.J, space.ref.rule_values(quad.order).transpose(0, 2, 1))
+    vals /= quad.det[:, :, None, None]
     vals *= space.cell_signs[:, None, None, :]
-    divs = space.ref.tabulate_div(rule.points)[None, :, :] / det[:, :, None]
+    divs = space.ref.rule_divs(quad.order)[None, :, :] / quad.det[:, :, None]
     divs *= space.cell_signs[:, None, :]
-    return vals, divs, geometry
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Quadrature tables of one space under one tensor rule, over all cells.
-
-    Quadrature points are numbered cell by cell.  The tables are dense per
-    cell: `values[c]` maps the coefficients of cell c's local dofs
-    (`cell_dofs[c]`) to the function's values at the cell's points; for
-    fluxes these are signed Piola values with the x and y rows of a point
-    interleaved, and `divs[c]` maps them to the divergence (None for
-    scalars).  A scalar table is the same on every cell, so `values` is a
-    read-only broadcast of the reference table, and a table with stride 0
-    over the cells is applied as one product of its first cell's table with
-    all cells' data.
-    """
-
-    rule: TensorRule2D     # the reference rule the tables were built from
-    points: np.ndarray     # (nc * nq, 2) physical points, read-only
-    weights: np.ndarray    # (nc * nq,) rule weight times det J
-    cell_dofs: np.ndarray  # (nc, n_local) global dof of each table column
-    n_dofs: int
-    values: np.ndarray     # (nc, nq, n_local) or (nc, 2 * nq, n_local)
-    divs: np.ndarray = None  # (nc, nq, n_local)
-
-    def apply(self, table, coeffs):
-        """The table applied to global coefficients (n_dofs, k): (nc, rows, k)."""
-        if table.strides[0] == 0:    # one table for all cells: one product
-            nc, rows, nl = table.shape
-            local = coeffs.T[:, self.cell_dofs].reshape(-1, nl)  # (k nc, nl)
-            return (local @ table[0].T).reshape(-1, nc, rows).transpose(1, 2, 0)
-        local = np.stack([column[self.cell_dofs] for column in coeffs.T], axis=-1)
-        return np.matmul(table, local)
-
-    def apply_transposed(self, table, data):
-        """The transposed table applied to point data, summed into the global
-        dofs: (n_dofs, k).  data holds k numbers per table row, ordered by
-        cell, row and column: (nc * rows, k), or any shape of that size."""
-        nc, rows, _ = table.shape
-        data = data.reshape(nc * rows, -1)
-        if table.strides[0] == 0:    # one table for all cells: one product
-            local = data.T.reshape(-1, rows) @ table[0]          # (k nc, nl)
-            columns = local.reshape(data.shape[1], -1)
-        else:
-            local = np.matmul(table.transpose(0, 2, 1), data.reshape(nc, rows, -1))
-            columns = local.reshape(self.cell_dofs.size, -1).T
-        dofs = self.cell_dofs.ravel()
-        return np.column_stack([
-            np.bincount(dofs, weights=column, minlength=self.n_dofs)
-            for column in columns])
-
-
-def _order(space, order=None):
-    """The Gauss points per direction of the spatial rule: p + 3 unless
-    `order` is given.  The one place that picks the default, which serves
-    the matrices, loads, projections, interpolant and error norms."""
-    return space.p + 3 if order is None else order
-
-
-def _rule_and_geometry(space, order=None):
-    """The order x order tensor rule (default `_order`) and the cell geometry
-    of the space's mesh under it."""
-    order = _order(space, order)
-    return tensor_unit(order), _mesh_geometry(space.mesh, order)
-
-
-def evaluation(space, order=None):
-    """The space's tables under the order x order Gauss rule, cached by order
-    (default `_order`)."""
-    order = _order(space, order)
-    if order in space.evaluations:
-        return space.evaluations[order]
-    rule, geometry = _rule_and_geometry(space, order)
-    phys, _, det = geometry
-    if isinstance(space, FluxSpace):
-        vals, divs, _ = piola_values(space, rule, geometry)
-        values = vals.reshape(len(vals), -1, vals.shape[-1])
-    else:
-        phi = space.ref.tabulate(rule.points)
-        values = np.broadcast_to(phi, det.shape[:1] + phi.shape)
-        divs = None
-    ev = Evaluation(rule=rule, points=phys.reshape(-1, 2),
-                    weights=(rule.weights[None, :] * det).ravel(),
-                    cell_dofs=space.cell_dofs, n_dofs=space.n_dofs,
-                    values=values, divs=divs)
-    space.evaluations[order] = ev
-    return ev
+    return vals, divs
 
 
 def _summed(local, row_dofs, col_dofs, shape, n_points, norms=None):
@@ -276,11 +206,9 @@ def _summed(local, row_dofs, col_dofs, shape, n_points, norms=None):
 
 def _mass_scalar_diagonal(space):
     """The diagonal of M_W, sum_q w_q det J w_i(x_q)^2, which is all it stores."""
-    ev = evaluation(space)
-    diagonal = np.empty(space.n_dofs)
-    diagonal[ev.cell_dofs] = (ev.weights.reshape(len(ev.cell_dofs), -1)
-                              @ ev.values[0] ** 2)
-    return diagonal
+    quad = cell_quadrature(space)
+    return (quad.weights.reshape(quad.det.shape)
+            @ space.ref.rule_values(quad.order) ** 2).ravel()
 
 
 def assemble_mass_scalar(space):
@@ -297,13 +225,14 @@ def assemble_weighted_mass_flux(space, coefficient):
     point weights K_q = w_q J^T D^{-1} J / det J, contracted with the
     reference products v_ref_a,l v_ref_b,m in one product over (q, l, m).
     """
-    rule, (phys, J, det) = _rule_and_geometry(space)
-    nc, nq = det.shape
-    ref = space.ref.tabulate(rule.points)                     # (nq, nl, 2)
+    quad = cell_quadrature(space)
+    J = quad.J
+    nc, nq = quad.det.shape
+    ref = space.ref.rule_values(quad.order)                   # (nq, nl, 2)
     nl = ref.shape[1]
-    inverse = coefficient.inverse_at(phys.reshape(-1, 2)).reshape(J.shape)
+    inverse = coefficient.inverse_at(quad.points).reshape(J.shape)
     weights = np.matmul(J.transpose(0, 1, 3, 2), np.matmul(inverse, J))
-    weights *= (rule.weights / det)[:, :, None, None]
+    weights *= (quad.rule.weights / quad.det)[:, :, None, None]
     products = np.einsum("qal,qbm->qlmab", ref, ref).reshape(4 * nq, nl * nl)
     local = (weights.reshape(nc, 4 * nq) @ products).reshape(nc, nl, nl)
     local *= space.cell_signs[:, :, None]
@@ -322,17 +251,18 @@ def assemble_div_coupling(flux_space, scalar_space):
     if (flux_space.mesh is not scalar_space.mesh
             or flux_space.p != scalar_space.p):
         raise ValueError("flux and scalar spaces must share a mesh and degree")
-    rule, (_, _, det) = _rule_and_geometry(flux_space)
-    ref_divs = flux_space.ref.tabulate_div(rule.points)       # (nq, nl)
-    block = (rule.weights[:, None]
-             * scalar_space.ref.tabulate(rule.points)).T @ ref_divs
+    quad = cell_quadrature(flux_space)
+    weights = quad.rule.weights
+    ref_divs = flux_space.ref.rule_divs(quad.order)           # (nq, nl)
+    block = (weights[:, None]
+             * scalar_space.ref.rule_values(quad.order)).T @ ref_divs
     local = block * flux_space.cell_signs[:, None, :]
     # ||div v_j||^2 = sum over its cells of sum_q w_q div v_ref_j^2 / det J
     div_norms = np.bincount(flux_space.cell_dofs.ravel(),
-                            weights=((rule.weights / det) @ ref_divs**2).ravel(),
+                            weights=((weights / quad.det) @ ref_divs**2).ravel(),
                             minlength=flux_space.n_dofs)
     return _summed(local, scalar_space.cell_dofs, flux_space.cell_dofs,
-                   (scalar_space.n_dofs, flux_space.n_dofs), len(rule.weights),
+                   (scalar_space.n_dofs, flux_space.n_dofs), len(weights),
                    (_mass_scalar_diagonal(scalar_space), div_norms))
 
 
@@ -349,11 +279,28 @@ def sample_in_time(f, points, times, vector=False):
     return values
 
 
+def scalar_values(space, quad, coeffs):
+    """The k scalar functions with coefficient rows coeffs (k, n_dofs) at
+    quad's points: (k, nc * nq).  The dofs are numbered cell by cell
+    (`cell_dofs` is arange(n_dofs).reshape(nc, n_local)), so this and
+    `scalar_moments` are one product of all cells' data with the reference
+    table."""
+    phi = space.ref.rule_values(quad.order)                   # (nq, nl)
+    local = coeffs.reshape(-1, phi.shape[1]) @ phi.T
+    return local.reshape(len(coeffs), -1)
+
+
+def scalar_moments(space, quad, values):
+    """<g_k, w_i> for point values (k, nc * nq) of k functions g_k: (k, n_dofs)."""
+    phi = space.ref.rule_values(quad.order)                   # (nq, nl)
+    local = (values * quad.weights).reshape(-1, len(phi)) @ phi
+    return local.reshape(len(values), -1)
+
+
 def assemble_load(space, f, times):
     """Load vectors <f(., t), w_i>, one column per time t in `times`."""
-    ev = evaluation(space)
-    data = sample_in_time(f, ev.points, times) * ev.weights
-    return ev.apply_transposed(ev.values, data.T)
+    quad = cell_quadrature(space)
+    return scalar_moments(space, quad, sample_in_time(f, quad.points, times)).T
 
 
 def assemble_flux_moments(space, g):
@@ -361,12 +308,12 @@ def assemble_flux_moments(space, g):
 
     A cell's moment of v_i is s_i sum_q w_q (J^T g) . v_ref_i.
     """
-    rule, (phys, J, _) = _rule_and_geometry(space)
-    nc, nq = J.shape[:2]
-    ref = space.ref.tabulate(rule.points)                     # (nq, nl, 2)
-    values = np.asarray(g(phys.reshape(-1, 2))).reshape(nc, nq, 1, 2)
-    pulled = np.matmul(values, J)[:, :, 0, :]                 # (J^T g)^T
-    pulled *= rule.weights[:, None]
+    quad = cell_quadrature(space)
+    nc, nq = quad.det.shape
+    ref = space.ref.rule_values(quad.order)                   # (nq, nl, 2)
+    values = np.asarray(g(quad.points)).reshape(nc, nq, 1, 2)
+    pulled = np.matmul(values, quad.J)[:, :, 0, :]            # (J^T g)^T
+    pulled *= quad.rule.weights[:, None]
     local = pulled.reshape(nc, -1) @ ref.transpose(0, 2, 1).reshape(2 * nq, -1)
     local *= space.cell_signs
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
@@ -378,8 +325,8 @@ def l2_project_scalar(g, space):
     coefficients."""
     if not isinstance(space, ScalarSpace):
         raise TypeError("l2_project_scalar needs a scalar space")
-    ev = evaluation(space)
-    moments = ev.apply_transposed(ev.values, ev.weights * g(ev.points))[:, 0]
+    quad = cell_quadrature(space)
+    moments = scalar_moments(space, quad, g(quad.points)[None])[0]
     return moments / _mass_scalar_diagonal(space)
 
 
@@ -412,19 +359,18 @@ def rt_interpolate(g, space, order=None):
     """
     if not isinstance(space, FluxSpace):
         raise TypeError("rt_interpolate needs a flux space")
-    mesh = space.mesh
-    order = _order(space, order)
-    rule_1d = gauss_legendre_unit(order)
+    quad = cell_quadrature(space, order)
+    rule_1d = gauss_legendre_unit(quad.order)
     edge_w, interior_w = space.ref.dof_weights(rule_1d)
     coef = np.empty(space.n_dofs)
-    start, end, normal = mesh.edge_frames()
+    start, end, normal = space.mesh.edge_frames()
     pts = start[:, None, :] + rule_1d.points[:, None] * (end - start)[:, None, :]
     gn = np.einsum("eqd,ed->eq", g(pts.reshape(-1, 2)).reshape(pts.shape), normal)
     length = np.linalg.norm(end - start, axis=1)
     coef[:space.n_edge_dofs] = (length[:, None] * (gn @ edge_w)).ravel()
     if space.ref.n_interior_dofs:
-        phys, J, _ = _mesh_geometry(mesh, order)
-        gv = g(phys.reshape(-1, 2)).reshape(phys.shape)
+        J = quad.J
+        gv = g(quad.points).reshape(J.shape[:-1])
         # inverse Piola: det J * J^{-1} g
         ghat = np.empty_like(gv)
         ghat[..., 0] = J[..., 1, 1] * gv[..., 0] - J[..., 0, 1] * gv[..., 1]

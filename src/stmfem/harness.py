@@ -118,9 +118,8 @@ def run_convergence(config, progress=None):
         eu = error_u(solution, exact)
         eq = error_q_V(solution, exact)
         ndofs.append(solution.scalar_space.n_dofs + solution.flux_space.n_dofs)
-        # the solution's spaces hold the scalar tables the loads read and the
-        # flux tables error_q_V built; free them before the next, larger
-        # level is solved
+        # free the solution's coefficient rows before the next, larger level
+        # is solved
         del solution
         levels.append(level)
         steps.append(n)

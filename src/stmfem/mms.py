@@ -15,15 +15,17 @@ The exact fields and the source take points (n, 2) and a 1-D array t of
 times, and return (len(t), n), or (len(t), n, 2) for the flux.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# cell_geometry and piola_values are not called here; perfbench/tracer.py
-# wraps these bindings to count geometry and Piola builds
-from .assembly import cell_geometry, piola_values  # noqa: F401
-from .assembly import evaluation, sample_in_time
+# cell_geometry is not called here; perfbench/tracer.py wraps this binding
+# to count geometry builds
+from .assembly import cell_geometry  # noqa: F401
+from .assembly import (cell_quadrature, piola_values, sample_in_time,
+                       scalar_values)
 from .exceptions import UnsupportedConfigurationError
 from .quadrature import gauss_legendre_unit
 
@@ -58,9 +60,9 @@ def _read_only(x):
 def _last_read_only(spatial_factor):
     """spatial_factor(x), kept for the last point array x no array can write.
 
-    Loads and error norms evaluate the same `Evaluation.points` on every
-    interval.  The slot is keyed on the array object; a writeable array, or
-    a view of one, is evaluated afresh on every call.
+    Loads and error norms evaluate the same `assembly.Quadrature.points` on
+    every interval.  The slot is keyed on the array object; a writeable
+    array, or a view of one, is evaluated afresh on every call.
     """
     slot = [None, None]
 
@@ -117,56 +119,72 @@ def mms_standard(coefficient, omega=DEFAULT_OMEGA):
                                 div_flux=div_flux)
 
 
-def _space_time_error(solution, space, stacks, exact_fields, time_order,
-                      space_order):
-    """(sum over exact_fields of ||exact - discrete||^2 in L2(I; L2))^(1/2).
+def _space_time_error(solution, stacks, quad, fields, time_order):
+    """(sum over fields of ||exact - discrete||^2 in L2(I; L2))^(1/2).
 
-    exact_fields pair, in order, with the space's value and divergence
-    tables from assembly.evaluation.  Per interval each table is applied to
-    the r+1 coefficient vectors and the result combined with the time basis
-    at the time points in one dense product; the pointwise difference is
-    squared and reduced with the point weights in one product.
+    Each field is (exact, values, weights): `values` maps an interval's
+    (r+1, n) coefficient stack to the discrete function at quad's points,
+    (r+1, rows), and `weights` holds one weight per row.  Per interval the
+    values are combined with the time basis at the time points in one dense
+    product; the pointwise difference is squared and reduced with the
+    weights in one product.
     """
-    ev = evaluation(space, space_order)
     if time_order is None:
         time_order = solution.basis.r + 3
     trule = gauss_legendre_unit(time_order)
     basis_vals = solution.basis.eval_trial_all(trule.points)  # (nt, r+1)
     part = solution.partition
-    nt, npts = len(trule.points), len(ev.weights)
-    tables = (ev.values, ev.divs)[:len(exact_fields)]
-    # one weight per table row: a point's weight repeated over its components
-    row_weights = [np.repeat(ev.weights, table.shape[1] // len(ev.rule.weights))
-                   for table in tables]
+    nt = len(trule.points)
     total = 0.0
     for n, stack in enumerate(stacks):
         tau = part.step_size(n)
         times = part.nodes[n] + tau * trule.points
         sq = np.zeros(nt)
-        for table, weights, exact in zip(tables, row_weights, exact_fields):
-            discrete = ev.apply(table, stack.T).reshape(len(weights), -1)
-            diff = basis_vals @ discrete.T
-            diff -= sample_in_time(exact, ev.points, times,
-                                   vector=len(weights) > npts).reshape(nt, -1)
+        for exact, values, weights in fields:
+            diff = basis_vals @ values(stack)
+            diff -= sample_in_time(exact, quad.points, times,
+                                   vector=len(weights) > len(quad.weights)
+                                   ).reshape(nt, -1)
             np.square(diff, out=diff)
             sq += diff @ weights
         total += tau * float(trule.weights @ sq)
     return math.sqrt(total)
 
 
+def _applied(table, cell_dofs, coeffs):
+    """A per-cell table (nc, rows, n_local) applied to coefficient rows
+    (k, n_dofs): (k, nc * rows).  One gather per row is faster than one
+    gather of all rows."""
+    local = np.stack([row[cell_dofs] for row in coeffs], axis=-1)
+    return np.matmul(table, local).reshape(-1, len(coeffs)).T
+
+
 def error_u(solution, exact, time_order=None, space_order=None):
     """|| u_exact - u_h || in L2(I; L2(Omega))."""
-    return _space_time_error(solution, solution.scalar_space,
-                             solution.scalar_stacks(), (exact.scalar,),
-                             time_order, space_order)
+    space = solution.scalar_space
+    quad = cell_quadrature(space, space_order)
+    fields = [(exact.scalar, functools.partial(scalar_values, space, quad),
+               quad.weights)]
+    return _space_time_error(solution, solution.scalar_stacks(), quad, fields,
+                             time_order)
 
 
 def error_q_V(solution, exact, time_order=None, space_order=None):
-    """|| q_exact - q_h || in L2(I; V), V-norm = (L2^2 + ||div||^2)^(1/2)."""
-    return _space_time_error(solution, solution.flux_space,
-                             solution.flux_stacks(),
-                             (exact.flux, exact.div_flux),
-                             time_order, space_order)
+    """|| q_exact - q_h || in L2(I; V), V-norm = (L2^2 + ||div||^2)^(1/2).
+
+    The signed Piola tables of the flux basis, (nc, rows, n_local) with a
+    point's x and y rows interleaved, live only for this call.
+    """
+    space = solution.flux_space
+    quad = cell_quadrature(space, space_order)
+    vals, divs = piola_values(space, quad)
+    fields = [(exact.flux, functools.partial(
+                  _applied, vals.reshape(len(vals), -1, vals.shape[-1]),
+                  space.cell_dofs), np.repeat(quad.weights, 2)),
+              (exact.div_flux, functools.partial(_applied, divs, space.cell_dofs),
+               quad.weights)]
+    return _space_time_error(solution, solution.flux_stacks(), quad, fields,
+                             time_order)
 
 
 def eoc(errors):

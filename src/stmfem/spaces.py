@@ -14,7 +14,7 @@ where sigma tracks the normal convention (outward of the lower-index cell)
 and rho whether the cell traverses the edge against the global direction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .basis1d import (
 )
 from .exceptions import InvalidMeshError
 from .mesh import validity_check
-from .quadrature import gauss_legendre_unit, tensor
+from .quadrature import gauss_legendre_unit, tensor, tensor_unit
 
 MAX_DEGREE = 4
 
@@ -33,6 +33,16 @@ MAX_DEGREE = 4
 _REF_EDGE_START = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 _REF_EDGE_END = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
 _REF_EDGE_NORMAL = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
+def _at_rule(tables, order, tabulate):
+    """tabulate at the points of the order x order Gauss rule, read-only,
+    kept in `tables` under the order."""
+    if order not in tables:
+        table = tabulate(tensor_unit(order).points)
+        table.flags.writeable = False
+        tables[order] = table
+    return tables[order]
 
 
 class ScalarReference:
@@ -47,6 +57,7 @@ class ScalarReference:
         self.nodes_1d = gauss_legendre_unit(p + 1).points
         self._basis = LagrangeBasis1D(self.nodes_1d)
         self.n_local = (p + 1) ** 2
+        self._values = {}
 
     def tabulate(self, points):
         """Basis values at reference points, shape (npts, n_local)."""
@@ -54,6 +65,10 @@ class ScalarReference:
         bx = self._basis.eval(points[:, 0])
         by = self._basis.eval(points[:, 1])
         return np.einsum("ni,nj->nji", bx, by).reshape(len(points), self.n_local)
+
+    def rule_values(self, order):
+        """`tabulate` at the order x order Gauss points, once per order."""
+        return _at_rule(self._values, order, self.tabulate)
 
 
 class RTReference:
@@ -85,6 +100,7 @@ class RTReference:
         if cond > 1e12:
             raise RuntimeError(f"reference element ill conditioned: {cond:.2e}")
         self._coeffs = np.linalg.inv(vandermonde)
+        self._values, self._divs = {}, {}
 
     def _span_values(self, points):
         """Spanning-set values at points, shape (npts, n_local, 2)."""
@@ -157,6 +173,14 @@ class RTReference:
         """Nodal basis reference divergences, shape (npts, n_local)."""
         return self._span_divs(points) @ self._coeffs
 
+    def rule_values(self, order):
+        """`tabulate` at the order x order Gauss points, once per order."""
+        return _at_rule(self._values, order, self.tabulate)
+
+    def rule_divs(self, order):
+        """`tabulate_div` at the order x order Gauss points, once per order."""
+        return _at_rule(self._divs, order, self.tabulate_div)
+
 
 @dataclass(frozen=True)
 class ScalarSpace:
@@ -166,10 +190,7 @@ class ScalarSpace:
     p: int
     ref: ScalarReference
     n_dofs: int
-    cell_dofs: np.ndarray  # (nc, (p+1)^2)
-    # assembly.evaluation's tables, keyed by rule order
-    evaluations: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    cell_dofs: np.ndarray  # (nc, (p+1)^2): arange(n_dofs).reshape(nc, -1)
 
 
 @dataclass(frozen=True)
@@ -183,9 +204,6 @@ class FluxSpace:
     n_edge_dofs: int       # global count of edge-moment DoFs
     cell_dofs: np.ndarray  # (nc, n_local)
     cell_signs: np.ndarray  # (nc, n_local), +-1
-    # assembly.evaluation's tables, keyed by rule order
-    evaluations: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
 
 def build_pair(mesh, p):

@@ -345,9 +345,7 @@ class SpaceTimeSolution:
     yield the (r+1, n) coefficient stacks in interval order, each start row
     the `endpoint_value` of the stack before it.  Reaching interval n
     therefore rebuilds the n stacks before it; to read many intervals,
-    iterate the generators once.  (The per-interval lists `scalar_coeffs`,
-    `flux_coeffs` and the `n_intervals` attribute of earlier versions are
-    gone, and the constructor takes the start values u0, q0.)
+    iterate the generators once.
     """
 
     def __init__(self, partition, basis, scalar_space, flux_space, u0, q0):
@@ -378,10 +376,9 @@ def run(data, mesh, p, r, n_steps, solver="direct"):
     """March the scheme over a uniform partition of (0, T] with N intervals.
 
     The solution keeps the (U, Q) views `solve_step` returns, one array of
-    r (n_scalar + n_flux) floats per interval.  Its scalar space keeps its
-    `assembly.evaluation` tables, which the loads read; its flux space holds
-    none, as M_D, B and the initial flux moments are built from the reference
-    basis and the cell geometry, and `mms.error_q_V` builds them.
+    r (n_scalar + n_flux) floats per interval.  Its spaces hold no
+    mesh-sized table: the matrices, loads and projections read the mesh's
+    cached `assembly.Quadrature` and the reference tables.
     """
     _check_solver(solver)
     partition = TimePartition.uniform(data.final_time, n_steps)

@@ -1,10 +1,11 @@
 """Pointwise evaluation of discrete functions, one cell or one time at a time.
 
-The batched tables of `stmfem.assembly.evaluation` are checked against these
-per-cell evaluators, so they live with the tests as an independent oracle:
-the bilinear map of one cell with its Newton inverse, scalar, flux and flux
-divergence values at reference points of one cell, a space-time solution's
-coefficients at any time, and a reader for the harness's CSV table.
+The batched values of `stmfem.assembly` (`scalar_values`, `piola_values`)
+are checked against these per-cell evaluators, so they live with the tests
+as an independent oracle: the bilinear map of one cell with its Newton
+inverse, scalar, flux and flux divergence values at reference points of one
+cell, a space-time solution's coefficients at any time, and a reader for
+the harness's CSV table.
 """
 
 from dataclasses import dataclass

@@ -12,10 +12,12 @@ from stmfem.assembly import (
     assemble_mass_scalar,
     assemble_weighted_mass_flux,
     cell_geometry,
-    evaluation,
+    cell_quadrature,
     l2_project_flux,
     piola_values,
     rt_interpolate,
+    scalar_moments,
+    scalar_values,
 )
 from stmfem.exceptions import InvalidCoefficientError, InvalidMeshError
 from stmfem.mesh import QuadMesh, distort, level_seed, unit_square_mesh
@@ -88,10 +90,10 @@ def test_weighted_mass_flux_scaling(level1_pair):
 
 def test_weighted_mass_flux_entry_oracle(level1_pair, rng):
     m, (_, flux) = level1_pair
-    rule = tensor_unit(5)
+    quad = cell_quadrature(flux, 5)
     mass = assemble_weighted_mass_flux(flux, CoefficientField.identity())
-    vals, _, (_, _, det) = piola_values(flux, rule)
-    wdet = rule.weights[None, :] * det
+    vals, _ = piola_values(flux, quad)
+    wdet = quad.rule.weights[None, :] * quad.det
     coo = mass.tocoo()
     idx = rng.choice(coo.nnz, size=10, replace=False)
     for t in idx:
@@ -116,8 +118,9 @@ def test_piola_values_match_per_point_oracle(p, distortion):
     if distortion:
         m = distort(m, distortion, level_seed(5, 2))
     _, flux = build_pair(m, p)
-    rule = tensor_unit(p + 3)
-    vals, divs, (_, J, det) = piola_values(flux, rule)
+    quad = cell_quadrature(flux)
+    rule, J, det = quad.rule, quad.J, quad.det
+    vals, divs = piola_values(flux, quad)
     ref_vals = flux.ref.tabulate(rule.points)
     ref_divs = flux.ref.tabulate_div(rule.points)
     nc, nq = det.shape
@@ -246,11 +249,12 @@ def test_matrices_match_the_table_galerkin_products(p, distortion, diffusion):
     m = _oracle_mesh(distortion)
     scalar, flux = build_pair(m, p)
     coefficient = DIFFUSIONS[diffusion]
-    rule = tensor_unit(p + 3)
-    vals, divs, (phys, _, det) = piola_values(flux, rule)
+    quad = cell_quadrature(flux)
+    rule = quad.rule
+    vals, divs = piola_values(flux, quad)
     nc, nq, _, nl = vals.shape
-    w = rule.weights * det                                    # (nc, nq)
-    inverse = coefficient.inverse_at(phys.reshape(-1, 2)).reshape(nc, nq, 2, 2)
+    w = rule.weights * quad.det                               # (nc, nq)
+    inverse = coefficient.inverse_at(quad.points).reshape(nc, nq, 2, 2)
     weighted = w[:, :, None, None] * np.matmul(inverse, vals)
     mass_d = _table_galerkin(vals.reshape(nc, -1, nl), flux.cell_dofs,
                              weighted.reshape(nc, -1, nl), flux.cell_dofs,
@@ -285,12 +289,12 @@ def test_flux_moments_and_projection_match_the_table_oracle(p, distortion):
         return np.column_stack([np.sin(3.0 * x[:, 0]) + x[:, 1],
                                 np.cos(2.0 * x[:, 1]) * x[:, 0] - 0.5])
 
-    rule = tensor_unit(p + 3)
-    vals, _, (phys, _, det) = piola_values(flux, rule)
+    quad = cell_quadrature(flux)
+    vals, _ = piola_values(flux, quad)
     nc, nq, _, nl = vals.shape
-    w = rule.weights * det
-    local = np.einsum("cq,cqd,cqdl->cl", w, g(phys.reshape(-1, 2)).reshape(
-        nc, nq, 2), vals)
+    w = quad.rule.weights * quad.det
+    local = np.einsum("cq,cqd,cqdl->cl", w, g(quad.points).reshape(nc, nq, 2),
+                      vals)
     moments = np.bincount(flux.cell_dofs.ravel(), weights=local.ravel(),
                           minlength=flux.n_dofs)
     scale = np.max(np.abs(moments))
@@ -471,71 +475,72 @@ def test_folded_mesh_fails_quadrature_with_its_stage():
 
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_evaluation_matches_per_cell_evaluation(p, rng):
-    # eval_* sign the coefficients per cell; the tables carry the signs
+    # the quadrature and the batched scalar values and Piola tables against
+    # the per-cell maps and evaluators; the Piola tables carry the signs, so
+    # they act on raw global coefficients
     m = distort(unit_square_mesh(2), 0.2, level_seed(13, 2))
     scalar, flux = build_pair(m, p)
-    rule = tensor_unit(p + 3)
+    quad = cell_quadrature(scalar, p + 3)
+    assert cell_quadrature(flux) is quad
+    rule = quad.rule
     nq = len(rule.weights)
     shape = (m.n_cells, nq)
     u = rng.standard_normal(scalar.n_dofs)
     q = rng.standard_normal(flux.n_dofs)
-    ev_u, ev_q = evaluation(scalar, p + 3), evaluation(flux, p + 3)
-    assert ev_u.divs is None
-    assert ev_u.values.shape == shape + (scalar.cell_dofs.shape[1],)
-    assert ev_q.values.shape == (m.n_cells, 2 * nq, flux.cell_dofs.shape[1])
-    assert ev_q.divs.shape == shape + (flux.cell_dofs.shape[1],)
-    assert_allclose(ev_q.points, ev_u.points, rtol=0, atol=0)
-    assert_allclose(ev_q.weights, ev_u.weights, rtol=0, atol=0)
-    points = ev_u.points.reshape(shape + (2,))
-    weights = ev_u.weights.reshape(shape)
+    u_vals = scalar_values(scalar, quad, u[None]).reshape(shape)
+    vals, divs = piola_values(flux, quad)
+    assert vals.shape == shape + (2, flux.ref.n_local)
+    assert divs.shape == shape + (flux.ref.n_local,)
+    assert quad.points.shape == (m.n_cells * nq, 2)
+    points = quad.points.reshape(shape + (2,))
+    weights = quad.weights.reshape(shape)
     for k in range(m.n_cells):
         cm = cell_map(m, k)
-        _, det = cm.jacobian(rule.points)
-        u_vals = ev_u.values[k] @ u[scalar.cell_dofs[k]]
+        J, det = cm.jacobian(rule.points)
         q_local = q[flux.cell_dofs[k]]
-        q_vals = (ev_q.values[k] @ q_local).reshape(nq, 2)
-        q_divs = ev_q.divs[k] @ q_local
         assert_allclose(points[k], cm.map(rule.points), atol=1e-15)
+        assert_allclose(quad.J[k], J, atol=1e-15)
+        assert_allclose(quad.det[k], det, rtol=1e-14)
         assert_allclose(weights[k], rule.weights * det, rtol=1e-14)
-        assert_allclose(u_vals, eval_scalar(scalar, u, k, rule.points),
+        assert_allclose(u_vals[k], eval_scalar(scalar, u, k, rule.points),
                         rtol=1e-12, atol=1e-13)
-        assert_allclose(q_vals, eval_flux(flux, q, k, rule.points),
+        assert_allclose(vals[k] @ q_local, eval_flux(flux, q, k, rule.points),
                         rtol=1e-12, atol=1e-12)
-        assert_allclose(q_divs, eval_div_flux(flux, q, k, rule.points),
+        assert_allclose(divs[k] @ q_local, eval_div_flux(flux, q, k, rule.points),
                         rtol=1e-12, atol=1e-11)
-    # apply gathers every cell's coefficients at once
-    assert_allclose(ev_q.apply(ev_q.values, q[:, None]).ravel(),
-                    np.concatenate([ev_q.values[k] @ q[dofs]
-                                    for k, dofs in enumerate(flux.cell_dofs)]),
-                    rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_scalar_dofs_are_numbered_cell_by_cell(p):
+    # scalar_values and scalar_moments reshape coefficients to cells on it
+    m = distort(unit_square_mesh(2), 0.3, level_seed(37, 2))
+    scalar, _ = build_pair(m, p)
+    assert np.array_equal(scalar.cell_dofs, np.arange(scalar.n_dofs).reshape(
+        m.n_cells, scalar.ref.n_local))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(p=hst.integers(0, 4), distortion=hst.floats(0.0, 0.45, exclude_max=True),
        seed=hst.integers(0, 2**32 - 1), k=hst.integers(1, 3))
 def test_forward_and_transposed_applications_are_adjoint(p, distortion, seed, k):
-    # sum_rows w (T c) g = c . (T^T (w g)) for every table and random c, g
+    # sum_points w (V c) g = c . M g for random c, g: scalar_moments is the
+    # transpose of scalar_values under the quadrature weights
     try:
         m = distort(unit_square_mesh(1), distortion, seed)
     except InvalidMeshError:
         reject()
-    scalar, flux = build_pair(m, p)
+    scalar, _ = build_pair(m, p)
+    quad = cell_quadrature(scalar)
     rng = np.random.default_rng(seed)
-    for space in (scalar, flux):
-        ev = evaluation(space)
-        for table in (ev.values, ev.divs):
-            if table is None:
-                continue
-            c = rng.standard_normal((space.n_dofs, k))
-            g = rng.standard_normal((table.shape[0] * table.shape[1], k))
-            w = np.repeat(ev.weights, len(g) // len(ev.weights))[:, None]
-            forward = ev.apply(table, c).reshape(g.shape)
-            transposed = ev.apply_transposed(table, w * g)
-            assert transposed.shape == c.shape
-            lhs = np.sum(w * forward * g, axis=0)
-            rhs = np.sum(c * transposed, axis=0)
-            scale = np.sum(np.abs(w * forward * g), axis=0)
-            assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+    c = rng.standard_normal((k, scalar.n_dofs))
+    g = rng.standard_normal((k, len(quad.weights)))
+    forward = scalar_values(scalar, quad, c)
+    transposed = scalar_moments(scalar, quad, g)
+    assert forward.shape == g.shape and transposed.shape == c.shape
+    lhs = np.sum(quad.weights * forward * g, axis=1)
+    rhs = np.sum(c * transposed, axis=1)
+    scale = np.sum(np.abs(quad.weights * forward * g), axis=1)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("distortion", [0.0, 0.25])
@@ -566,11 +571,12 @@ def test_matrices_store_no_rounding_residue(p, distortion, level, seed):
     assert mass_w.nnz == scalar.n_dofs
     n, u = 2 * (p + 3) ** 2, np.finfo(float).eps / 2
     gamma = n * u / (1.0 - n * u)
-    ev = evaluation(flux)
+    quad = cell_quadrature(flux)
+    _, divs = piola_values(flux, quad)
     div_norms = np.bincount(
         flux.cell_dofs.ravel(), minlength=flux.n_dofs,
-        weights=np.einsum("cq,cqi->ci", ev.weights.reshape(m.n_cells, -1),
-                          ev.divs ** 2).ravel())
+        weights=np.einsum("cq,cqi->ci", quad.weights.reshape(m.n_cells, -1),
+                          divs ** 2).ravel())
     mass_d = assemble_weighted_mass_flux(flux, CoefficientField.identity())
     for matrix, d_rows, d_cols in (
             (mass_d, mass_d.diagonal(), mass_d.diagonal()),
@@ -580,7 +586,7 @@ def test_matrices_store_no_rounding_residue(p, distortion, level, seed):
         assert np.all(np.abs(entries.data) > bound)
 
 
-def test_run_and_error_norms_build_one_table_per_space_and_order(
+def test_run_and_error_norms_map_one_quadrature_per_mesh_and_order(
         monkeypatch, mms_problem):
     import stmfem.assembly as asm
     from stmfem.mms import error_q_V, error_u
@@ -589,9 +595,9 @@ def test_run_and_error_norms_build_one_table_per_space_and_order(
     calls = []
     original = asm.cell_geometry
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(mesh, rule):
+        calls.append(len(rule.weights))
+        return original(mesh, rule)
 
     monkeypatch.setattr(asm, "cell_geometry", counting)
     exact, data = mms_problem
@@ -599,43 +605,48 @@ def test_run_and_error_norms_build_one_table_per_space_and_order(
     solution = run(data, mesh, p=1, r=2, n_steps=4)
     error_u(solution, exact)
     error_q_V(solution, exact)
-    scalar, flux = solution.scalar_space, solution.flux_space
-    assert list(scalar.evaluations) == list(flux.evaluations) == [4]
-    assert len(calls) == 1
+    assert calls == [16]
     error_u(solution, exact, space_order=8)
-    assert list(scalar.evaluations) == [4, 8]
-    assert list(flux.evaluations) == [4]
-    assert len(calls) == 2
+    error_q_V(solution, exact, space_order=8)
+    assert calls == [16, 64]
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(p=hst.integers(0, 3), distortion=hst.floats(0.0, 0.45, exclude_max=True),
        seed=hst.integers(0, 2**32 - 1), k=hst.integers(1, 3))
 def test_scalar_table_is_applied_as_one_product(p, distortion, seed, k):
-    # the broadcast scalar table takes the one-product path; a copy of it,
-    # one table per cell, takes the per-cell batched product.  Both sum the
-    # same n_local or rows terms per entry, so they agree to the rounding of
-    # that sum, bounded by the sum of the terms' magnitudes
+    # scalar_values and scalar_moments apply the reference table to all
+    # cells' data in one product; cell by cell, products with the cell's
+    # gathered coefficients or weighted point values sum the same n_local or
+    # nq terms, so both agree to the rounding of that sum, bounded by the
+    # sum of the terms' magnitudes
     try:
         m = distort(unit_square_mesh(2), distortion, seed)
     except InvalidMeshError:
         reject()
     scalar, _ = build_pair(m, p)
-    ev = evaluation(scalar)
-    per_cell = np.array(ev.values)
-    assert ev.values.strides[0] == 0 and per_cell.strides[0] != 0
+    quad = cell_quadrature(scalar)
+    phi = scalar.ref.tabulate(quad.rule.points)
+    nq = len(phi)
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((scalar.n_dofs, k))
-    g = rng.standard_normal((len(ev.weights), k))
-    for apply, x in ((ev.apply, c), (ev.apply_transposed, g)):
-        one, batched = apply(ev.values, x), apply(per_cell, x)
-        assert one.shape == batched.shape
-        scale = apply(np.abs(per_cell), np.abs(x))
-        assert np.all(np.abs(one - batched) <= 1e-14 * scale)
+    c = rng.standard_normal((k, scalar.n_dofs))
+    g = rng.standard_normal((k, len(quad.weights)))
+    wg = g * quad.weights
+    values = scalar_values(scalar, quad, c)
+    moments = scalar_moments(scalar, quad, g)
+    for cell, dofs in enumerate(scalar.cell_dofs):
+        points = slice(cell * nq, (cell + 1) * nq)
+        for one, per_cell, scale in (
+                (values[:, points], c[:, dofs] @ phi.T,
+                 np.abs(c[:, dofs]) @ np.abs(phi.T)),
+                (moments[:, dofs], wg[:, points] @ phi,
+                 np.abs(wg[:, points]) @ np.abs(phi))):
+            assert np.all(np.abs(one - per_cell) <= 1e-14 * scale)
 
 
 def test_cell_geometry_is_mapped_once_per_mesh_and_order(monkeypatch):
     import stmfem.assembly as asm
+    from stmfem.mms import _read_only
 
     calls = []
     original = asm.cell_geometry
@@ -647,14 +658,15 @@ def test_cell_geometry_is_mapped_once_per_mesh_and_order(monkeypatch):
     monkeypatch.setattr(asm, "cell_geometry", counting)
     m = distort(unit_square_mesh(2), 0.2, level_seed(29, 2))
     scalar, flux = build_pair(m, 2)
-    ev_u, ev_q = evaluation(scalar), evaluation(flux)
+    quad = cell_quadrature(scalar)
+    assert cell_quadrature(flux) is quad
     rt_interpolate(lambda x: np.ones_like(np.atleast_2d(x)), flux)
     assert calls == [25]
-    assert np.shares_memory(ev_u.points, ev_q.points)
-    assert not ev_u.points.flags.writeable
+    for array in (quad.points, quad.weights, quad.J, quad.det):
+        assert _read_only(array)
     # another space pair on the same mesh shares it too; another order maps
     # anew, and cell_geometry itself is not cached
-    evaluation(build_pair(m, 2)[0])
+    assert cell_quadrature(build_pair(m, 2)[0]) is quad
     rt_interpolate(lambda x: np.ones_like(np.atleast_2d(x)), flux, order=4)
     phys, _, _ = asm.cell_geometry(m, tensor_unit(5))
     assert calls == [25, 16, 25] and phys.flags.writeable

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import stmfem as st
-from stmfem.assembly import CoefficientField, evaluation
+import stmfem.mms as mms
+from stmfem.assembly import CoefficientField, assemble_load, cell_quadrature
 from stmfem.exceptions import UnsupportedConfigurationError
 from stmfem.mesh import distort, level_seed
 from stmfem.mms import eoc, error_q_V, error_u, mms_standard
@@ -99,15 +100,36 @@ class TestManufacturedSolution:
             assert np.array_equal(f(x, t), f(base.copy(), t))
 
     def test_cached_points_give_the_same_values(self):
-        # Evaluation.points is read-only, so it is cached; the arithmetic is
-        # that of a fresh evaluation, bit for bit
+        # Quadrature.points is read-only through its base, so it is cached;
+        # the arithmetic is that of a fresh evaluation, bit for bit
         exact = mms_standard(CoefficientField.identity())
         flux_space = st.build_pair(distort(st.unit_square_mesh(2), 0.2, 3), 1)[1]
-        points = evaluation(flux_space).points
-        assert not points.flags.writeable
+        points = cell_quadrature(flux_space).points
+        assert mms._read_only(points)
         for f in (exact.scalar, exact.flux, exact.source, exact.div_flux):
             for t in (np.array([0.1]), np.array([0.2, 0.7])):
                 assert np.array_equal(f(points, t), f(points.copy(), t))
+
+    def test_loads_evaluate_the_spatial_factor_once(self, monkeypatch):
+        # the source is cached at the quadrature's points, so a second load
+        # on the same space, as every step after the first makes, does not
+        # evaluate sin(pi x1) sin(pi x2) again
+        evaluated = []
+        cached = mms._last_read_only
+
+        def counting(spatial_factor):
+            def counted(x):
+                evaluated.append(len(x))
+                return spatial_factor(x)
+            return cached(counted)
+
+        monkeypatch.setattr(mms, "_last_read_only", counting)
+        exact = mms_standard(CoefficientField.identity())
+        scalar = st.build_pair(distort(st.unit_square_mesh(2), 0.2, 3), 1)[0]
+        first = assemble_load(scalar, exact.source, np.array([0.1, 0.2]))
+        second = assemble_load(scalar, exact.source, np.array([0.1, 0.2]))
+        assert evaluated == [len(cell_quadrature(scalar).points)]
+        assert np.array_equal(first, second)
 
 
 class TestErrorNorms:

@@ -746,6 +746,7 @@ class TestRun:
         # reference basis and the cell geometry: run() makes no Piola table,
         # and the two error norms make one per level, for its flux space
         import stmfem.assembly as asm
+        import stmfem.mms as mms
 
         piola_values = asm.piola_values
         mapped = []
@@ -754,7 +755,8 @@ class TestRun:
             mapped.append(space)
             return piola_values(space, *args, **kwargs)
 
-        monkeypatch.setattr(asm, "piola_values", counting)
+        for module in (asm, mms):
+            monkeypatch.setattr(module, "piola_values", counting)
         exact, data = mms_problem
         data = dataclasses.replace(data, initial_flux=lambda x: np.column_stack(
             [1.0 + x[:, 1], x[:, 0] ** 2]))
@@ -762,10 +764,41 @@ class TestRun:
             sol = run(data, distort(unit_square_mesh(level), 0.2, 3), p=2, r=2,
                       n_steps=3, solver=solver)
             assert len(mapped) == level - 1
-            assert sol.flux_space.evaluations == {}
             st.error_u(sol, exact)
             st.error_q_V(sol, exact)
             assert len(mapped) == level and mapped[-1] is sol.flux_space
+
+    def test_no_step_builds_a_rule_or_a_table(self, mms_problem, monkeypatch):
+        # set-up builds the spatial rule and the reference tables once; the
+        # per-step loads read them from the mesh's quadrature and the
+        # reference elements, so 8 steps build no more than 2
+        import stmfem.assembly as asm
+        import stmfem.spaces as spaces
+
+        built = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                built.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (asm, spaces):
+            monkeypatch.setattr(module, "tensor_unit",
+                                counting("rule", module.tensor_unit))
+        for cls, name in ((spaces.ScalarReference, "tabulate"),
+                          (spaces.RTReference, "tabulate"),
+                          (spaces.RTReference, "tabulate_div")):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        _, data = mms_problem
+        counts = []
+        for n_steps in (2, 8):
+            built.clear()
+            run(data, distort(unit_square_mesh(2), 0.2, 3), p=1, r=2,
+                n_steps=n_steps)
+            counts.append(sorted(built))
+        assert counts[0] == counts[1]
+        assert {"rule", "tabulate"} <= set(counts[0])
 
     def test_unknown_solver_fails_before_set_up(self, zero_data, monkeypatch):
         # a nonzero initial flux is projected with one splu; a solver run()
